@@ -1,8 +1,9 @@
 //! # ark-bench — regenerates every table and figure of the ARK paper.
 //!
-//! Each `src/bin/` target prints one experiment's rows; `benches/` holds
-//! the criterion kernel benchmarks for the functional library. The
-//! simulated-accelerator results come from `ark-core`; comparisons
+//! Each `src/bin/` target prints one experiment's rows; the
+//! `scaling`/`key_bytes`/`hoisting`/`core_ops` targets are the
+//! functional library's regression benches. The simulated-accelerator
+//! results come from `ark-core`; comparisons
 //! against Lattigo/100x/F1/CraterLake/BTS use the numbers those systems
 //! reported (exactly as the paper does — they are inputs, not outputs,
 //! of the evaluation).

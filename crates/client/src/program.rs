@@ -7,8 +7,10 @@
 //! registers `0..n_inputs` are the request's input ciphertexts and
 //! every op appends one new register. The server replays the list
 //! against any [`HeEvaluator`] — the real software backend or the
-//! trace recorder — so one uploaded program is both executable and
-//! costable, exactly like a locally-written `HeProgram`.
+//! static verifier's abstract evaluator, which also records the trace
+//! the simulated backend costs — so one uploaded program is both
+//! executable and costable, exactly like a locally-written
+//! `HeProgram`.
 //!
 //! Decoding validates shape up front: every operand must name an
 //! already-defined register and every output a defined one, so a
@@ -82,7 +84,7 @@ impl Op {
 /// [`Program::encode`].
 ///
 /// ```
-/// use ark_serve::program::Program;
+/// use ark_client::program::Program;
 ///
 /// let mut p = Program::new(2);
 /// let [x, y] = [p.reg(0), p.reg(1)];
@@ -322,63 +324,12 @@ impl Program {
         last
     }
 
-    /// Extra ciphertext-units an op holds only while it executes: the
-    /// unrescaled product inside the fused mul+rescale ops, and the
-    /// per-term rotated copies plus hoisted digit spine plus in-flight
-    /// product of a fused `RotateSum` (`digit_units` is the
-    /// ciphertext-equivalent of one digit decomposition,
-    /// `⌈dnum·(L+1+α) / (2·(L+1))⌉`, which the caller supplies since
-    /// the program itself is parameter-free).
-    fn transient_units(op: &Op, digit_units: usize) -> usize {
-        match op {
-            Op::RotateSum(_, terms) => terms.len() + digit_units + 1,
-            Op::MulRescale(..) | Op::MulPlainRescale(..) => 1,
-            _ => 0,
-        }
-    }
-
-    /// Budget weight of the program in ciphertext-sized units: the
-    /// peak number of ciphertext-sized values [`Program::apply`] holds
-    /// at once — the borrowed inputs, plus the registers live
-    /// (def-use) across each op, plus that op's transient working set
-    /// (`Program::transient_units`), plus one clone per declared
-    /// output at the end. Computed by the same liveness sweep the
-    /// `ark-fhe` static verifier runs, so the two agree exactly; the
-    /// every-op-forever upper bound survives as
-    /// [`Program::worst_case_units`]. Session budgets charge this, not
-    /// `len()`.
-    pub fn charge_units(&self, digit_units: usize) -> usize {
-        let n = self.n_inputs as usize;
-        let end = self.ops.len();
-        let last = self.last_uses();
-        let mut delta = vec![0i64; end + 2];
-        for (r, lu) in last.iter().enumerate() {
-            let def = r.saturating_sub(n);
-            let stop = match lu {
-                Some(l) => *l,
-                // inputs never read are released before the first op;
-                // results never read die right after their defining op
-                None if r < n => continue,
-                None => def,
-            };
-            delta[def] += 1;
-            delta[stop + 1] -= 1;
-        }
-        let mut live = 0i64;
-        let mut peak = n;
-        for (k, op) in self.ops.iter().enumerate() {
-            live += delta[k];
-            peak = peak.max(n + live as usize + Self::transient_units(op, digit_units));
-        }
-        live += delta[end];
-        peak.max(n + live as usize + self.outputs.len())
-    }
-
     /// The pre-liveness budget weight: every op's register charged
     /// forever (one unit each; a fused `RotateSum` at its full working
-    /// set). Kept as the conservative bound `charge_units` is measured
-    /// against — for any program, `charge_units(d) ≤
-    /// n_inputs + worst_case_units(d) + outputs`.
+    /// set). Kept as the conservative bound the static verifier's
+    /// liveness-exact peak (`VerifyReport::peak_live_units`, what
+    /// `ark-serve` admission charges) is measured against — for any
+    /// program, `peak ≤ n_inputs + worst_case_units(d) + outputs`.
     pub fn worst_case_units(&self, digit_units: usize) -> usize {
         self.ops
             .iter()
@@ -404,9 +355,8 @@ impl Program {
             });
         }
         // liveness-driven replay: registers are released at their last
-        // use, so the peak number of live ciphertexts matches what
-        // `charge_units` budgeted instead of growing with program
-        // length
+        // use, so the peak number of live ciphertexts matches the
+        // static verifier's peak instead of growing with program length
         let last = self.last_uses();
         let mut regs: Vec<Option<E::Ct>> = inputs
             .iter()
@@ -750,49 +700,18 @@ mod tests {
     }
 
     #[test]
-    fn rotate_sum_charges_its_working_set() {
+    fn worst_case_charges_every_op_forever() {
         let p = sample();
         assert_eq!(p.len(), 5);
-        // peak is the rotate_sum event: 2 borrowed inputs + 3 live
-        // registers (the sum output, the operand, the result) + 2
-        // terms + digits + 1 in-flight product
-        assert_eq!(p.charge_units(3), 2 + 3 + (2 + 3 + 1));
-        // the digit weight scales with the hosting parameter set
-        assert_eq!(p.charge_units(9), 2 + 3 + (2 + 9 + 1));
-        // liveness-exact stays under the old every-op-forever bound
+        // four one-unit ops + the rotate_sum's 2 terms, digits and 3
         assert_eq!(p.worst_case_units(3), 4 + (2 + 3 + 3));
-        assert!(p.charge_units(3) < p.worst_case_units(3));
-    }
-
-    #[test]
-    fn straight_line_program_charges_peak_not_length() {
-        // regression: charge_units used to count every op forever, so
-        // a long chain over one register over-charged its session by
-        // its full length
-        let mut p = Program::new(1);
-        let mut r = p.reg(0);
+        let mut chain = Program::new(1);
+        let mut r = chain.reg(0);
         for _ in 0..500 {
-            r = p.add_const(r, 1.0);
+            r = chain.add_const(r, 1.0);
         }
-        p.output(r);
-        assert_eq!(p.worst_case_units(0), 500);
-        // borrowed input + operand register + result register, at any
-        // point in the chain
-        assert_eq!(p.charge_units(0), 3);
-    }
-
-    #[test]
-    fn charge_units_matches_static_verifier_peak() {
-        use ark_ckks::params::CkksParams;
-        use ark_fhe::verify::{AbstractInput, VerifyContext};
-
-        let p = sample();
-        let params = CkksParams::tiny();
-        let ctx = VerifyContext::new(params, &[1, 2], false, None, false).unwrap();
-        let inputs = [AbstractInput::at_level(3), AbstractInput::at_level(3)];
-        let report = ctx.verify(&inputs, &p);
-        assert!(report.is_ok(), "{:?}", report.finding);
-        assert_eq!(report.peak_live_units, p.charge_units(report.digit_units));
+        chain.output(r);
+        assert_eq!(chain.worst_case_units(0), 500);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use ark_ckks::error::ArkError;
 use ark_client::core::{ClientCore, Event};
 use ark_client::protocol::{
     busy_frame, code, envelope, error_frame, msg, server_info_frame, stats_frame, EngineInfo,
-    PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use ark_math::wire::write_frame;
 use ark_serve::protocol as srv;
@@ -40,7 +40,7 @@ fn server_recv_all(egress: &[u8]) -> Vec<Vec<u8>> {
     let mut r = std::io::Cursor::new(egress);
     let mut out = Vec::new();
     loop {
-        match srv::recv_message(&mut r, srv::DEFAULT_MAX_FRAME_BYTES, &|| false)
+        match srv::recv_message(&mut r, DEFAULT_MAX_FRAME_BYTES, &|| false)
             .expect("core egress parses as server messages")
         {
             srv::Recv::Frame(f) => out.push(f),

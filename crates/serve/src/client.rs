@@ -41,13 +41,12 @@
 //! under its original id up to `n` times before the `Busy` error is
 //! surfaced.
 
-use crate::protocol::{DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::params::CkksContext;
 use ark_ckks::{Ciphertext, EvalKey, PublicKey, RotationKeys};
 use ark_client::core::{decode_eval_keys, decode_public_key, decode_result_cts, ClientCore, Event};
 use ark_client::program::Program;
-use ark_client::protocol::code_label;
+use ark_client::protocol::{code_label, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use ark_core::sched::SimReport;
 use std::collections::HashMap;
 use std::io::{Read, Write};

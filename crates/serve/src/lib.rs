@@ -5,15 +5,15 @@
 //! multiplex onto one server process, and evaluation rides the
 //! engine's limb-parallel thread pool.
 //!
-//! - [`program::Program`] — a wire-serializable register-based HE
-//!   program (the transportable counterpart of
-//!   [`ark_fhe::engine::HeProgram`]); since the client split it lives
-//!   in `ark_client::program` and is re-exported here;
-//! - [`protocol`] — the length-prefixed request/response protocol over
-//!   TCP (`std::net` only, like everything in this workspace), v4 of
-//!   which envelopes every post-handshake message with a request id so
-//!   one connection can pipeline. The sans-I/O codecs live in
-//!   `ark_client::protocol`; this module adds the blocking transport;
+//! - [`Program`] — a wire-serializable register-based HE program (the
+//!   transportable counterpart of [`ark_fhe::engine::HeProgram`]); it
+//!   lives in `ark_client::program` and is re-exported here;
+//! - [`protocol`] — the blocking transport of the length-prefixed
+//!   request/response protocol over TCP (`std::net` only, like
+//!   everything in this workspace), v4 of which envelopes every
+//!   post-handshake message with a request id so one connection can
+//!   pipeline. Message kinds, error codes and every payload codec are
+//!   sans-I/O and live in `ark_client::protocol`;
 //! - [`server::Server`] — an event-driven serving fabric: one
 //!   `ark-net` reactor thread owns every connection, N shard workers
 //!   (work-stealing, bounded queues, typed `BUSY` load-shedding)
@@ -30,11 +30,10 @@
 //! architecture.
 
 pub mod client;
-pub mod program;
 pub mod protocol;
 pub mod server;
 
+pub use ark_client::program::{Program, Reg};
+pub use ark_client::protocol::EngineInfo;
 pub use client::{Client, ClientBuilder, Ticket};
-pub use program::{Program, Reg};
-pub use protocol::EngineInfo;
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -4,21 +4,15 @@
 //!
 //! The sans-I/O half — message kinds, error codes, the v4 request-id
 //! envelope, and every control-payload codec — lives in
-//! [`ark_client::protocol`] so it compiles for wasm32 too; this module
-//! re-exports all of it, so existing `ark_serve::protocol::*` paths
-//! keep working. What is *native* here is only what needs `std::io`:
-//! [`send_message`] and [`recv_message`], which move whole messages
-//! across a blocking stream with the allocation bound enforced before
-//! the payload is read.
+//! [`ark_client::protocol`] so it compiles for wasm32 too. What lives
+//! here is only what needs `std::io`: [`send_message`] and
+//! [`recv_message`], which move whole messages across a blocking
+//! stream with the allocation bound enforced before the payload is
+//! read.
 //!
 //! See [`ark_client::protocol`] for the full transport-shape and
 //! message-kind documentation.
 
-pub use ark_client::protocol::{
-    busy_frame, code, code_label, decode_busy, decode_error, decode_server_info, decode_stats,
-    envelope, error_frame, msg, server_info_frame, split_envelope, stats_frame, EngineInfo,
-    DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, MAX_STAT_NAME, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
 use std::io::{self, Read, Write};
 
 /// What [`recv_message`] produced.
@@ -117,6 +111,7 @@ pub fn recv_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ark_client::protocol::{code, decode_error, error_frame, msg, DEFAULT_MAX_FRAME_BYTES};
     use ark_math::wire::{read_frame, Cursor};
 
     #[test]

@@ -52,18 +52,18 @@
 //! completions, makes a bounded final flush pass, and every thread is
 //! joined before `shutdown` returns.
 
-use crate::program::Program;
-use crate::protocol::{
-    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
 use ark_ckks::error::{ArkError, ArkResult};
 use ark_ckks::wire as ckks_wire;
 use ark_ckks::Ciphertext;
+use ark_client::program::Program;
+use ark_client::protocol::{
+    self, code, msg, EngineInfo, DEFAULT_MAX_FRAME_BYTES, ENVELOPE_LEN, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
+};
 use ark_core::wire as core_wire;
-use ark_fhe::engine::{Engine, HeEvaluator};
-use ark_fhe::verify::AbstractInput;
-use ark_fhe::workloads::trace::TraceSummary;
+use ark_fhe::engine::Engine;
+use ark_fhe::verify::{AbstractInput, VerifyReport};
+use ark_fhe::workloads::trace::{Trace, TraceSummary};
 use ark_math::wire::{put_u16, read_frame, write_frame, Cursor};
 use ark_net::{FrameBuf, Interest, OutBuf, Poller, Token, Waker};
 use std::cell::Cell;
@@ -121,13 +121,6 @@ pub struct ServerConfig {
     /// last job completes during shutdown, before abandoning unread
     /// responses.
     pub drain_grace: Duration,
-    /// Whether submitted programs are statically verified at admission
-    /// (level/scale flow, key surface, bootstrap placement — see
-    /// `ark_fhe::verify`). On by default: a statically-invalid program
-    /// is rejected with a typed `VERIFY` error before it charges the
-    /// session budget or touches a shard evaluator, instead of failing
-    /// mid-evaluation after NTTs already burned shard time.
-    pub verify_programs: bool,
     /// Newest protocol version this server accepts (default
     /// [`PROTOCOL_VERSION`]). Lowering it to 3 emulates an
     /// old pre-pipelining deployment — newer clients are rejected with
@@ -150,7 +143,6 @@ impl Default for ServerConfig {
             allow_remote_shutdown: false,
             poll_interval: Duration::from_millis(25),
             drain_grace: Duration::from_secs(1),
-            verify_programs: true,
             max_protocol_version: PROTOCOL_VERSION,
         }
     }
@@ -727,19 +719,23 @@ fn ark_err_code(e: &ArkError) -> u16 {
     }
 }
 
-/// Admission-time static verification: abstractly interprets the
-/// program over the inputs' levels/scales against the engine's
-/// declared key surface, with zero evaluator work. A finding maps to
-/// the typed `VERIFY` error code carrying the op index and the exact
-/// runtime error class evaluation would have hit.
+/// Admission-time static verification, applied to every submitted
+/// program: abstractly interprets it over the inputs' levels/scales
+/// against the engine's declared key surface (level/scale flow, key
+/// surface, bootstrap placement — see `ark_fhe::verify`), with zero
+/// evaluator work. A statically-invalid program is rejected with the
+/// typed `VERIFY` error code, carrying the op index and the exact
+/// runtime error class evaluation would have hit, before it charges
+/// the session budget or touches a shard evaluator. On acceptance,
+/// returns the report and the trace the pass recorded.
 fn verify_admission(
     engine: &Engine,
     program: &Program,
     inputs: &[AbstractInput],
-) -> Result<(), (u16, String)> {
-    let report = engine.verify_context().verify(inputs, program);
-    match report.finding {
-        None => Ok(()),
+) -> Result<(VerifyReport, Trace), (u16, String)> {
+    let (report, trace) = engine.verify_context().verify_traced(inputs, program);
+    match &report.finding {
+        None => Ok((report, trace)),
         Some(f) => Err((
             code::VERIFY,
             format!("program rejected by static verification at {f}"),
@@ -790,27 +786,20 @@ fn run_evaluate(shared: &Shared, job: &Job, charge: &ChargeGuard<'_>) -> Handled
             format!("{} trailing bytes after the last input", rest.len() - off),
         ));
     }
-    if shared.config.verify_programs {
-        let specs: Vec<AbstractInput> = inputs
-            .iter()
-            .map(|ct| AbstractInput::with_scale(ct.level, ct.scale))
-            .collect();
-        verify_admission(engine, &program, &specs)?;
-    }
+    let specs: Vec<AbstractInput> = inputs
+        .iter()
+        .map(|ct| AbstractInput::with_scale(ct.level, ct.scale))
+        .collect();
+    let (report, _) = verify_admission(engine, &program, &specs)?;
     // evaluation holds the borrowed inputs, the liveness-live
-    // registers, and each op's transient working set — a fused
-    // RotateSum's per-amount rotations plus the hoisted digits, which
-    // charge_units() weighs in. The digit scratch in
-    // ciphertext-equivalents depends on the hosting parameter set:
-    // dnum digits over the extended basis (L+1+α limbs) vs a
-    // 2·(L+1)-limb ciphertext. Levels only ever drop, so peak units ×
+    // registers, and each op's transient working set (a fused
+    // RotateSum's per-amount rotations plus the hoisted digits): the
+    // admission report's peak. Levels only ever drop, so peak units ×
     // the largest input is an upper bound on the working set — charge
     // it up front so the session budget covers memory the request will
     // grow into, not just its wire size
-    let p = engine.params();
-    let digit_units = (p.dnum * (p.max_level + 1 + p.alpha())).div_ceil(2 * (p.max_level + 1));
     let max_input = inputs.iter().map(Ciphertext::byte_len).max().unwrap_or(0);
-    charge.charge(program.charge_units(digit_units).saturating_mul(max_input))?;
+    charge.charge(report.peak_live_units.saturating_mul(max_input))?;
     let mut eval = engine
         .shared_evaluator()
         .map_err(|e| (ark_err_code(&e), e.to_string()))?;
@@ -858,21 +847,10 @@ fn run_simulate(shared: &Shared, job: &Job) -> Handled {
         levels.push(level);
     }
     cur.finish().map_err(|e| (code::PROTOCOL, e.to_string()))?;
-    if shared.config.verify_programs {
-        let specs: Vec<AbstractInput> =
-            levels.iter().map(|&l| AbstractInput::at_level(l)).collect();
-        verify_admission(engine, &program, &specs)?;
-    }
-    let mut eval = engine.trace_evaluator();
-    let cts = levels
-        .iter()
-        .map(|&l| eval.input(&[], l))
-        .collect::<ArkResult<Vec<_>>>()
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    program
-        .apply(&mut eval, &cts)
-        .map_err(|e| (ark_err_code(&e), e.to_string()))?;
-    let trace = eval.into_trace();
+    // the admission pass is the simulated evaluation: its trace is
+    // what the cycle model costs
+    let specs: Vec<AbstractInput> = levels.iter().map(|&l| AbstractInput::at_level(l)).collect();
+    let (_, trace) = verify_admission(engine, &program, &specs)?;
     shared
         .ops
         .accumulate(&trace.summary(), program.rotate_sum_terms() as u64);

@@ -3,11 +3,12 @@
 //! id with jittered exponential backoff, up to the configured budget.
 
 use ark_ckks::error::ArkError;
-use ark_math::wire::read_frame;
-use ark_serve::protocol::{
-    busy_frame, envelope, msg, recv_message, send_message, server_info_frame, split_envelope,
-    stats_frame, EngineInfo, Recv, DEFAULT_MAX_FRAME_BYTES,
+use ark_client::protocol::{
+    busy_frame, envelope, msg, server_info_frame, split_envelope, stats_frame, EngineInfo,
+    DEFAULT_MAX_FRAME_BYTES,
 };
+use ark_math::wire::read_frame;
+use ark_serve::protocol::{recv_message, send_message, Recv};
 use ark_serve::Client;
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;

@@ -3,12 +3,13 @@
 
 use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
+use ark_client::protocol::{msg, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::ckks::encoding::max_error;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
 use ark_math::wire::{read_frame, write_frame};
-use ark_serve::protocol::{self, msg, Recv, DEFAULT_MAX_FRAME_BYTES};
+use ark_serve::protocol::{self, Recv};
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use std::net::TcpStream;
@@ -381,7 +382,7 @@ fn v4_client_against_v3_only_server_fails_typed_not_hung() {
         .expect("connect returned instead of hanging");
     match result {
         Err(ArkError::VersionMismatch { client, reason }) => {
-            assert_eq!(client, protocol::PROTOCOL_VERSION);
+            assert_eq!(client, PROTOCOL_VERSION);
             assert!(reason.contains("3..=3"), "reason: {reason}");
         }
         other => panic!("expected VersionMismatch, got {other:?}"),

@@ -9,12 +9,13 @@
 
 use ark_ckks::error::ArkError;
 use ark_ckks::params::{CkksContext, CkksParams};
+use ark_client::protocol::{self, msg, PROTOCOL_VERSION};
 use ark_fhe::arch::ArkConfig;
 use ark_fhe::engine::{Backend, Engine};
 use ark_fhe::math::cfft::C64;
 use ark_math::wire::{put_u16, write_frame};
 use ark_net::FrameBuf;
-use ark_serve::protocol::{self, msg, PROTOCOL_VERSION};
+use ark_serve::protocol::send_message;
 use ark_serve::server::ServerConfig;
 use ark_serve::{Client, Program, Server, ServerHandle};
 use proptest::prelude::*;
@@ -324,15 +325,13 @@ fn stalled_reader_does_not_block_other_sessions() {
     let mut stalled = TcpStream::connect(addr).unwrap();
     let mut hello = Vec::new();
     put_u16(&mut hello, 3);
-    protocol::send_message(&mut stalled, &write_frame(msg::HELLO, 0, &hello)).unwrap();
+    send_message(&mut stalled, &write_frame(msg::HELLO, 0, &hello)).unwrap();
     // each EVAL_KEYS response is ~6 KiB; thousands of unread ones
     // overflow loopback kernel buffering (a few MiB) and then the
     // 64 KiB outbox budget
     for _ in 0..4096 {
         // write errors just mean the server already shed us — success
-        if protocol::send_message(&mut stalled, &write_frame(msg::GET_EVAL_KEYS, sw_fp, &[]))
-            .is_err()
-        {
+        if send_message(&mut stalled, &write_frame(msg::GET_EVAL_KEYS, sw_fp, &[])).is_err() {
             break;
         }
     }

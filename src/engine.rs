@@ -12,13 +12,15 @@
 //! - [`HeEvaluator`] — the backend-agnostic operation trait
 //!   (`add`/`sub`/`mul`/`rotate`/`rescale`/`bootstrap`/…) with two
 //!   implementations: [`SoftwareEvaluator`] executes real RNS-CKKS
-//!   arithmetic via `ark-ckks`, [`TraceEvaluator`] records the op
-//!   sequence as an [`ark_workloads::Trace`] and tracks level/scale
-//!   metadata symbolically;
+//!   arithmetic via `ark-ckks`, and the static verifier's
+//!   [`AbstractEvaluator`] records the op sequence as an
+//!   [`ark_workloads::Trace`] while tracking level/scale metadata
+//!   symbolically;
 //! - [`HeProgram`] — a user program written once against the trait and
 //!   executed on either backend through [`Engine::execute`], yielding
 //!   decrypted outputs on [`Backend::Software`] and a cycle-level
-//!   [`SimReport`] on [`Backend::Simulated`].
+//!   [`SimReport`] on [`Backend::Simulated`] (abstract evaluation, then
+//!   `ark_core::sched::run` over the recorded trace).
 //!
 //! Both evaluators record the trace, so the *same program* can be
 //! checked for op-sequence equality across backends (see
@@ -51,6 +53,7 @@
 //! ```
 
 use crate::error::{ArkError, ArkResult};
+use crate::verify::{AbstractEvaluator, VerifyContext};
 use ark_ckks::bootstrap::{BootstrapConfig, Bootstrapper};
 use ark_ckks::keys::{CompressedRotationKeys, EvalKey, PublicKey, RotationKeys, SecretKey};
 use ark_ckks::params::{CkksContext, CkksParams};
@@ -68,8 +71,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
-
-use ark_ckks::ops::check_scales_match as check_scales;
 
 pub(crate) fn check_levels(a: usize, b: usize) -> ArkResult<()> {
     if a == b {
@@ -1047,7 +1048,7 @@ impl HeEvaluator for SoftwareEvaluator<'_> {
 }
 
 // ---------------------------------------------------------------------
-// trace-recording backend
+// simulated backend
 // ---------------------------------------------------------------------
 
 /// Derives the analytic bootstrap sub-trace configuration a session
@@ -1068,258 +1069,11 @@ pub fn bootstrap_trace_config(params: &CkksParams, cfg: &BootstrapConfig) -> Boo
 #[derive(Debug)]
 struct SimulatedState {
     cfg: ArkConfig,
-    declared: DeclaredKeys,
     compile: CompileOptions,
-    trace_cfg: Option<BootstrapTraceConfig>,
-    runtime_keys: bool,
-}
-
-/// Symbolic ciphertext handle of the trace-recording backend: level and
-/// scale metadata only, no polynomial data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimCt {
-    level: usize,
-    scale: f64,
-}
-
-/// [`HeEvaluator`] that records the op sequence instead of computing.
-/// Level and scale metadata follow the same rules the software backend
-/// enforces (with the scheme's scale `Δ` standing in for the individual
-/// chain primes), so malformed programs fail with the same typed errors
-/// on both backends.
-pub struct TraceEvaluator<'a> {
-    params: &'a CkksParams,
-    declared: &'a DeclaredKeys,
-    trace_cfg: Option<BootstrapTraceConfig>,
-    /// Mirrors [`EngineBuilder::runtime_keys`]: when set, undeclared
-    /// rotations/conjugations record instead of erroring — matching
-    /// the software backend's on-demand key derivation.
-    runtime_keys: bool,
-    trace: Trace,
-}
-
-impl<'a> TraceEvaluator<'a> {
-    fn new(
-        params: &'a CkksParams,
-        declared: &'a DeclaredKeys,
-        trace_cfg: Option<BootstrapTraceConfig>,
-        runtime_keys: bool,
-    ) -> Self {
-        Self {
-            params,
-            declared,
-            trace_cfg,
-            runtime_keys,
-            trace: Trace::new("engine-session"),
-        }
-    }
-
-    /// Consumes the evaluator, returning the recorded trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-}
-
-impl HeEvaluator for TraceEvaluator<'_> {
-    type Ct = SimCt;
-
-    fn params(&self) -> &CkksParams {
-        self.params
-    }
-
-    fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    fn input(&mut self, values: &[C64], level: usize) -> ArkResult<Self::Ct> {
-        let max = self.params.max_level;
-        if level > max {
-            return Err(ArkError::LevelOutOfRange { level, max });
-        }
-        // mirror the software backend's encode-time slot check, so a
-        // program rejected there is rejected here too (same class)
-        check_slots(values.len(), self.params.slots())?;
-        Ok(SimCt {
-            level,
-            scale: self.params.scale(),
-        })
-    }
-
-    fn level(&self, ct: &Self::Ct) -> usize {
-        ct.level
-    }
-
-    fn scale(&self, ct: &Self::Ct) -> f64 {
-        ct.scale
-    }
-
-    fn add(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        check_scales(a.scale, b.scale)?;
-        self.trace.push(HeOp::HAdd { level: a.level });
-        Ok(*a)
-    }
-
-    fn sub(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        check_scales(a.scale, b.scale)?;
-        self.trace.push(HeOp::HAdd { level: a.level });
-        Ok(*a)
-    }
-
-    fn negate(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CMult { level: ct.level });
-        Ok(*ct)
-    }
-
-    fn add_const(&mut self, ct: &Self::Ct, _c: f64) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CAdd { level: ct.level });
-        Ok(*ct)
-    }
-
-    fn mul_const(&mut self, ct: &Self::Ct, _c: f64) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::CMult { level: ct.level });
-        Ok(SimCt {
-            level: ct.level,
-            // top-prime encoding: q_top ≈ Δ
-            scale: ct.scale * self.params.scale(),
-        })
-    }
-
-    fn add_plain(&mut self, ct: &Self::Ct, values: &[C64]) -> ArkResult<Self::Ct> {
-        // the software backend rejects oversized plaintext vectors at
-        // encode time — same typed error here, before recording
-        check_slots(values.len(), self.params.slots())?;
-        self.trace.push(HeOp::PAdd {
-            level: ct.level,
-            fresh_plaintext: true,
-        });
-        Ok(*ct)
-    }
-
-    fn mul_plain(&mut self, ct: &Self::Ct, values: &[C64]) -> ArkResult<Self::Ct> {
-        check_slots(values.len(), self.params.slots())?;
-        self.trace.push(HeOp::PMult {
-            level: ct.level,
-            fresh_plaintext: true,
-        });
-        Ok(SimCt {
-            level: ct.level,
-            scale: ct.scale * self.params.scale(),
-        })
-    }
-
-    fn mul(&mut self, a: &Self::Ct, b: &Self::Ct) -> ArkResult<Self::Ct> {
-        check_levels(a.level, b.level)?;
-        self.trace.push(HeOp::HMult { level: a.level });
-        Ok(SimCt {
-            level: a.level,
-            scale: a.scale * b.scale,
-        })
-    }
-
-    fn square(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        self.trace.push(HeOp::HMult { level: ct.level });
-        Ok(SimCt {
-            level: ct.level,
-            scale: ct.scale * ct.scale,
-        })
-    }
-
-    fn rotate(&mut self, ct: &Self::Ct, amount: i64) -> ArkResult<Self::Ct> {
-        let reduced = GaloisElement::normalize_rotation(amount, self.params.slots());
-        if reduced == 0 {
-            // identity rotation: keyless no-op, same as the software path
-            return Ok(*ct);
-        }
-        if !self.declared.has_rotation(reduced) && !self.runtime_keys {
-            return Err(ArkError::MissingRotationKey { amount });
-        }
-        self.trace.push(HeOp::HRot {
-            level: ct.level,
-            amount: reduced,
-            key: KeyId::Rot(reduced),
-        });
-        Ok(*ct)
-    }
-
-    fn rotate_sum(&mut self, ct: &Self::Ct, terms: &[RotateSumTerm]) -> ArkResult<Self::Ct> {
-        let slots = self.params.slots();
-        let distinct = check_rotate_sum_terms(terms, slots, self.declared, self.runtime_keys)?;
-        // same record order as the software backend: the hoisted
-        // rotation group first (ascending distinct amounts, digits paid
-        // by the first member), then the multiply-accumulate chain
-        for (i, &r) in distinct.iter().enumerate() {
-            self.trace.push(HeOp::HRotHoisted {
-                level: ct.level,
-                amount: r,
-                key: KeyId::Rot(r),
-                fresh_digits: i == 0,
-            });
-        }
-        for k in 0..terms.len() {
-            self.trace.push(HeOp::PMult {
-                level: ct.level,
-                fresh_plaintext: true,
-            });
-            if k > 0 {
-                self.trace.push(HeOp::HAdd { level: ct.level });
-            }
-        }
-        Ok(SimCt {
-            level: ct.level,
-            scale: ct.scale * self.params.scale(),
-        })
-    }
-
-    fn conjugate(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        if !self.declared.has_conjugation() && !self.runtime_keys {
-            return Err(ArkError::MissingConjugationKey);
-        }
-        self.trace.push(HeOp::HConj { level: ct.level });
-        Ok(*ct)
-    }
-
-    fn rescale(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        if ct.level == 0 {
-            return Err(ArkError::ModulusChainExhausted);
-        }
-        self.trace.push(HeOp::HRescale { level: ct.level });
-        Ok(SimCt {
-            level: ct.level - 1,
-            scale: ct.scale / self.params.scale(),
-        })
-    }
-
-    fn mod_drop_to(&mut self, ct: &Self::Ct, level: usize) -> ArkResult<Self::Ct> {
-        if level > ct.level {
-            return Err(ArkError::LevelMismatch {
-                expected: ct.level,
-                found: level,
-            });
-        }
-        Ok(SimCt {
-            level,
-            scale: ct.scale,
-        })
-    }
-
-    fn bootstrap(&mut self, ct: &Self::Ct) -> ArkResult<Self::Ct> {
-        let cfg = self.trace_cfg.ok_or(ArkError::KeyChainMissing {
-            what: "bootstrapping keys (build the engine with EngineBuilder::bootstrapping)",
-        })?;
-        if ct.level != 0 {
-            return Err(ArkError::LevelMismatch {
-                expected: 0,
-                found: ct.level,
-            });
-        }
-        self.trace.extend(&bootstrap_trace(self.params, &cfg));
-        Ok(SimCt {
-            level: post_bootstrap_level(self.params, &cfg),
-            scale: self.params.scale(),
-        })
-    }
+    /// Declared key surface, bootstrap configuration and runtime-key
+    /// policy: the simulated backend *is* the static verifier's
+    /// abstract evaluator, costed by `ark-core`.
+    verify: VerifyContext,
 }
 
 // ---------------------------------------------------------------------
@@ -1329,7 +1083,7 @@ impl HeEvaluator for TraceEvaluator<'_> {
 #[derive(Debug)]
 enum BackendState {
     Software(Box<SoftwareState>),
-    Simulated(SimulatedState),
+    Simulated(Box<SimulatedState>),
 }
 
 /// One HE session: parameter set + backend + keys, built once, with
@@ -1459,7 +1213,8 @@ impl EngineBuilder {
     /// set before any ciphertext work, so a malformed program returns
     /// its typed error — the same [`ArkError`] class the runtime would
     /// surface mid-evaluation — without spending a single NTT. See
-    /// [`crate::verify`].
+    /// [`crate::verify`]. A simulated session's run already is that
+    /// abstract interpretation, so there the setting changes nothing.
     pub fn verify(mut self, on: bool) -> Self {
         self.verify = on;
         self
@@ -1563,13 +1318,16 @@ impl EngineBuilder {
                     boot,
                 }))
             }
-            Backend::Simulated(cfg) => BackendState::Simulated(SimulatedState {
+            Backend::Simulated(cfg) => BackendState::Simulated(Box::new(SimulatedState {
                 cfg,
-                declared,
                 compile: self.compile,
-                trace_cfg,
-                runtime_keys: self.runtime_keys,
-            }),
+                verify: VerifyContext::from_parts(
+                    params.clone(),
+                    declared,
+                    trace_cfg,
+                    self.runtime_keys,
+                ),
+            })),
         };
         Ok(Engine {
             params,
@@ -1716,43 +1474,21 @@ impl Engine {
         }
     }
 
-    /// A trace-recording evaluator for this session's declared keys —
-    /// available on every backend (on software sessions it records
-    /// without computing).
-    pub fn trace_evaluator(&self) -> TraceEvaluator<'_> {
-        match &self.state {
-            BackendState::Software(sw) => TraceEvaluator::new(
-                &self.params,
-                &sw.keys.declared,
-                sw.boot.as_ref().map(|b| b.trace_cfg),
-                sw.keys.runtime_keys_enabled(),
-            ),
-            BackendState::Simulated(sim) => {
-                TraceEvaluator::new(&self.params, &sim.declared, sim.trace_cfg, sim.runtime_keys)
-            }
-        }
-    }
-
     /// A static-verification context over this session's parameter
     /// set, declared key surface, bootstrap configuration and
     /// runtime-key policy — everything the abstract interpreter
     /// ([`crate::verify`]) needs, with no key material attached.
     /// `ark-serve` admission builds its pre-execution gate from this.
-    pub fn verify_context(&self) -> crate::verify::VerifyContext {
-        let (declared, trace_cfg, runtime_keys) = match &self.state {
-            BackendState::Software(sw) => (
+    pub fn verify_context(&self) -> VerifyContext {
+        match &self.state {
+            BackendState::Software(sw) => VerifyContext::from_parts(
+                self.params.clone(),
                 sw.keys.declared.clone(),
                 sw.boot.as_ref().map(|b| b.trace_cfg),
                 sw.keys.runtime_keys_enabled(),
             ),
-            BackendState::Simulated(sim) => (sim.declared.clone(), sim.trace_cfg, sim.runtime_keys),
-        };
-        crate::verify::VerifyContext::from_parts(
-            self.params.clone(),
-            declared,
-            trace_cfg,
-            runtime_keys,
-        )
+            BackendState::Simulated(sim) => sim.verify.clone(),
+        }
     }
 
     /// Compiles and simulates an HE-op trace on the session's
@@ -1777,26 +1513,21 @@ impl Engine {
     }
 
     /// Runs a backend-agnostic program: encrypt-execute-decrypt on
-    /// [`Backend::Software`], record-compile-simulate on
-    /// [`Backend::Simulated`].
+    /// [`Backend::Software`]; on [`Backend::Simulated`], abstract
+    /// evaluation by the static verifier's [`AbstractEvaluator`], then
+    /// compile-and-simulate of the trace it recorded.
     pub fn execute<P: HeProgram>(
         &mut self,
         inputs: &[ProgramInput],
         program: &P,
     ) -> ArkResult<Outcome> {
-        if self.verify {
-            // pre-flight: abstractly interpret the program against the
-            // declared key surface before touching any ciphertext; a
-            // statically-invalid program fails here with the same typed
-            // error the runtime would raise mid-evaluation
-            let specs: Vec<crate::verify::AbstractInput> = inputs
-                .iter()
-                .map(|i| crate::verify::AbstractInput::at_level(i.level))
-                .collect();
-            let report = self.verify_context().verify(&specs, program);
-            if let Some(finding) = report.finding {
-                return Err(finding.error);
-            }
+        // pre-flight: abstractly interpret the program against the
+        // declared key surface before touching any ciphertext; a
+        // statically-invalid program fails here with the same typed
+        // error the runtime would raise mid-evaluation. A simulated run
+        // is itself that interpretation, so it needs no pre-flight.
+        if self.verify && matches!(self.state, BackendState::Software(_)) {
+            run_abstract(self.verify_context().evaluator(), inputs, program)?;
         }
         match &mut self.state {
             BackendState::Software(sw) => {
@@ -1820,23 +1551,28 @@ impl Engine {
                 Ok(Outcome::Software { outputs, trace })
             }
             BackendState::Simulated(sim) => {
-                let mut eval = TraceEvaluator::new(
-                    &self.params,
-                    &sim.declared,
-                    sim.trace_cfg,
-                    sim.runtime_keys,
-                );
-                let cts = inputs
-                    .iter()
-                    .map(|i| eval.input(&i.values, i.level))
-                    .collect::<ArkResult<Vec<_>>>()?;
-                program.run(&mut eval, &cts)?;
-                let trace = eval.into_trace();
+                let trace = run_abstract(sim.verify.evaluator(), inputs, program)?;
                 let report = ark_core::sched::run(&trace, &self.params, &sim.cfg, sim.compile);
                 Ok(Outcome::Simulated { report, trace })
             }
         }
     }
+}
+
+/// Drives `program` over an abstract evaluator with the inputs the
+/// runtime would see (level and slot checks included), returning the
+/// recorded trace or the first typed error.
+fn run_abstract<P: HeProgram>(
+    mut eval: AbstractEvaluator<'_>,
+    inputs: &[ProgramInput],
+    program: &P,
+) -> ArkResult<Trace> {
+    let cts = inputs
+        .iter()
+        .map(|i| eval.input(&i.values, i.level))
+        .collect::<ArkResult<Vec<_>>>()?;
+    program.run(&mut eval, &cts)?;
+    Ok(eval.into_trace())
 }
 
 #[cfg(test)]

@@ -29,16 +29,19 @@
 //! - **bootstrap placement** vs. depth exhaustion, and the level/scale
 //!   schedule for reporting ([`VerifyReport::schedule`]).
 //!
-//! The abstract domain per register is `(level, scale)` — exactly the
-//! metadata [`crate::engine::TraceEvaluator`] tracks. Scale is an f64
-//! carrying the scheme scale `Δ = 2^scale_bits`: `Δ` is a power of
-//! two, so multiplying and dividing by it is *exact* in f64 and the
-//! abstract scale equals the trace backend's scale bit-for-bit; the
+//! The same evaluator is the simulated backend: `Engine::execute` on
+//! [`crate::engine::Backend::Simulated`] drives it and hands the trace
+//! it recorded ([`AbstractEvaluator::into_trace`]) to the `ark-core`
+//! cycle model, so there is one metadata evaluator, not two.
+//!
+//! The abstract domain per register is `(level, scale)`. Scale is an
+//! f64 carrying the scheme scale `Δ = 2^scale_bits`: `Δ` is a power of
+//! two, so multiplying and dividing by it is *exact* in f64; the
 //! software backend's per-prime scales drift from `Δ` by < 1% per
 //! prime (chain primes are chosen within 1% of `Δ`), far inside the
 //! `1e-6`-relative `check_scales_match` tolerance after the
 //! `mul_const`/`mul_plain` top-prime-encoding + rescale cancellation,
-//! so accept/reject agreement holds across all three interpreters.
+//! so accept/reject agreement holds across both backends.
 
 use crate::engine::{
     bootstrap_trace_config, check_levels, check_rotate_sum_terms, check_slots, DeclaredKeys,
@@ -314,18 +317,28 @@ impl VerifyContext {
     /// returning the full report. Never touches key material; cost is
     /// proportional to the op count.
     pub fn verify<P: HeProgram>(&self, inputs: &[AbstractInput], program: &P) -> VerifyReport {
+        self.verify_traced(inputs, program).0
+    }
+
+    /// [`Self::verify`], also handing back the trace the pass recorded
+    /// (the whole program's on acceptance, the verified prefix's
+    /// otherwise) — what a simulated session costs, with no second
+    /// interpretation.
+    pub fn verify_traced<P: HeProgram>(
+        &self,
+        inputs: &[AbstractInput],
+        program: &P,
+    ) -> (VerifyReport, Trace) {
         let mut eval = self.evaluator();
-        let mut cts = Vec::with_capacity(inputs.len());
-        for spec in inputs {
-            match eval.input_at(spec.level, spec.scale) {
-                Ok(ct) => cts.push(ct),
-                Err(e) => return eval.finish_err(e),
-            }
-        }
-        match program.run(&mut eval, &cts) {
-            Ok(outputs) => eval.finish(&outputs),
-            Err(e) => eval.finish_err(e),
-        }
+        let cts = inputs
+            .iter()
+            .map(|spec| eval.input_at(spec.level, spec.scale))
+            .collect::<ArkResult<Vec<_>>>();
+        let report = match cts.and_then(|cts| program.run(&mut eval, &cts)) {
+            Ok(outputs) => eval.report(Ok(&outputs)),
+            Err(e) => eval.report(Err(e)),
+        };
+        (report, eval.trace)
     }
 }
 
@@ -363,7 +376,7 @@ impl<'a> AbstractEvaluator<'a> {
             declared,
             trace_cfg,
             runtime_keys,
-            trace: Trace::new("verify"),
+            trace: Trace::new("engine-session"),
             digit_units: (params.dnum * (l1 + params.alpha())).div_ceil(2 * l1),
             n_inputs: 0,
             cts: Vec::new(),
@@ -431,19 +444,37 @@ impl<'a> AbstractEvaluator<'a> {
     /// [`HeProgram::run`] returned) stay live through the output
     /// epilogue, where each is additionally cloned once for the
     /// caller.
-    pub fn finish(self, outputs: &[AbstractCt]) -> VerifyReport {
-        self.report(None, outputs)
+    pub fn finish(mut self, outputs: &[AbstractCt]) -> VerifyReport {
+        self.report(Ok(outputs))
     }
 
     /// Builds the rejection report for `error`, raised by the op after
     /// the last interpreted event.
-    pub fn finish_err(self, error: ArkError) -> VerifyReport {
-        let op_index = self.events.len();
-        self.report(Some(VerifyFinding { op_index, error }), &[])
+    pub fn finish_err(mut self, error: ArkError) -> VerifyReport {
+        self.report(Err(error))
     }
 
-    fn report(mut self, finding: Option<VerifyFinding>, outputs: &[AbstractCt]) -> VerifyReport {
+    /// Consumes the evaluator, returning the recorded trace — op for op
+    /// what the software backend records for the same program.
+    pub fn into_trace(self) -> Trace {
+        self.trace
+    }
+
+    /// Sweeps the def-use intervals into the report: the acceptance
+    /// report for the program's `outputs`, or the rejection report for
+    /// an error raised by the op after the last interpreted event.
+    fn report(&mut self, outcome: ArkResult<&[AbstractCt]>) -> VerifyReport {
         let end = self.events.len();
+        let (finding, outputs) = match outcome {
+            Ok(outputs) => (None, outputs),
+            Err(error) => (
+                Some(VerifyFinding {
+                    op_index: end,
+                    error,
+                }),
+                &[][..],
+            ),
+        };
         for o in outputs {
             self.cts[o.id].last_use = Some(end);
         }
@@ -664,8 +695,7 @@ impl HeEvaluator for AbstractEvaluator<'_> {
         self.touch(ct);
         // transient working set: one rotated ciphertext per term (≤
         // distinct amounts, bounded by terms), the hoisted digit spine,
-        // and the in-flight product — same weights Program::charge_units
-        // assigns, so the analyzer's peak equals the serve-side charge
+        // and the in-flight product
         let transient = terms.len() + self.digit_units + 1;
         let scale = ct.scale * self.params.scale();
         Ok(self.emit("rotate_sum", ct.level, transient, ct.level, scale))
@@ -780,9 +810,47 @@ mod tests {
         let long = ctx.verify(&[AbstractInput::at_level(2)], &Chain(500));
         assert!(short.is_ok() && long.is_ok());
         assert_eq!(long.ops, 500);
-        // 1 borrowed input + the operand register + the result register
+        // 1 borrowed input + the operand register + the result register:
+        // the admission charge is the peak, not the length (it once
+        // counted every op forever, over-charging this chain 500 units)
         assert_eq!(short.peak_live_units, 3);
         assert_eq!(long.peak_live_units, short.peak_live_units);
+    }
+
+    #[test]
+    fn rotate_sum_charges_its_working_set() {
+        /// `add`, `mul_rescale`, `rotate`, `mul_plain`, then a two-term
+        /// `rotate_sum`; outputs the rotate_sum and the first sum.
+        struct Sample;
+        impl HeProgram for Sample {
+            fn run<E: HeEvaluator>(&self, e: &mut E, i: &[E::Ct]) -> ArkResult<Vec<E::Ct>> {
+                let s = e.add(&i[0], &i[1])?;
+                let m = e.mul_rescale(&s, &i[0])?;
+                let r = e.rotate(&m, 1)?;
+                let c = e.mul_plain(&r, &[C64::new(0.5, 0.0); 4])?;
+                let h = e.rotate_sum(
+                    &c,
+                    &[
+                        RotateSumTerm::new(0, vec![C64::new(1.0, 0.0); 4]),
+                        RotateSumTerm::new(2, vec![C64::new(0.25, -0.5); 4]),
+                    ],
+                )?;
+                Ok(vec![h, s])
+            }
+        }
+        // the digit weight scales with the hosting parameter set
+        for (params, digit_units) in [(CkksParams::ark(), 3), (CkksParams::f1(), 9)] {
+            let ctx = VerifyContext::new(params, &[1, 2], false, None, false).unwrap();
+            let report = ctx.verify(&[AbstractInput::at_level(3); 2], &Sample);
+            assert!(report.is_ok(), "{:?}", report.finding);
+            assert_eq!(report.ops, 5);
+            assert_eq!(report.digit_units, digit_units);
+            // peak is the rotate_sum event: 2 borrowed inputs + 3 live
+            // registers (the sum output, the operand, the result) + 2
+            // terms + digits + 1 in-flight product
+            assert_eq!(report.peak_event, 4);
+            assert_eq!(report.peak_live_units, 2 + 3 + (2 + digit_units + 1));
+        }
     }
 
     #[test]
@@ -851,7 +919,7 @@ mod tests {
     }
 
     #[test]
-    fn abstract_scale_matches_trace_backend_exactly() {
+    fn software_and_simulated_traces_match_exactly() {
         struct Mix;
         impl HeProgram for Mix {
             fn run<E: HeEvaluator>(&self, e: &mut E, i: &[E::Ct]) -> ArkResult<Vec<E::Ct>> {
@@ -861,19 +929,24 @@ mod tests {
                 Ok(vec![q])
             }
         }
-        let mut engine = Engine::builder()
-            .params(CkksParams::tiny())
-            .backend(Backend::Simulated(crate::arch::ArkConfig::base()))
-            .build()
-            .unwrap();
-        let outcome = engine.execute(&[ProgramInput::symbolic(2)], &Mix).unwrap();
-        let ctx = engine.verify_context();
+        let run = |backend| {
+            let mut engine = Engine::builder()
+                .params(CkksParams::tiny())
+                .backend(backend)
+                .build()
+                .unwrap();
+            let x = vec![C64::new(0.5, 0.0); engine.params().slots()];
+            let outcome = engine.execute(&[ProgramInput::new(x, 2)], &Mix).unwrap();
+            (engine.verify_context(), outcome.trace().ops().to_vec())
+        };
+        let (_, software) = run(Backend::Software);
+        let (ctx, simulated) = run(Backend::Simulated(crate::arch::ArkConfig::base()));
+        assert_eq!(simulated, software);
+        // the abstract scale is exact: Δ is a power of two
         let report = ctx.verify(&[AbstractInput::at_level(2)], &Mix);
         assert!(report.is_ok());
-        // identical trace contents (op-for-op) and exact scale
-        assert_eq!(report.trace_len, outcome.trace().len());
-        let delta = CkksParams::tiny().scale();
-        assert_eq!(report.output_scales, vec![delta]);
+        assert_eq!(report.trace_len, software.len());
+        assert_eq!(report.output_scales, vec![CkksParams::tiny().scale()]);
         assert_eq!(report.output_levels, vec![0]);
     }
 
