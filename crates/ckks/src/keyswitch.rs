@@ -31,6 +31,7 @@ use crate::keys::EvalKey;
 use crate::params::CkksContext;
 use ark_math::automorphism::GaloisElement;
 use ark_math::poly::{Representation, RnsPoly};
+use ark_math::rows;
 use ark_math::scratch::ScratchArena;
 
 /// The shared state of a hoisted key-switch: the input's decomposition
@@ -213,9 +214,11 @@ impl CkksContext {
     }
 
     /// [`Self::hoisted_apply`] with every temporary drawn from `arena`.
-    /// The evk rows are read *in place* through the digit's limb set
-    /// (no per-digit subset copies), and the returned pair is
-    /// arena-backed.
+    /// The evk inner product is one fused kernel per limb
+    /// ([`rows::dot2_rows`]): it reads each digit through the Galois
+    /// permutation (no permuted copies), the evk rows in place, and
+    /// reduces each output coefficient of `kb` and `ka` once. The
+    /// returned pair is arena-backed.
     pub fn hoisted_apply_with(
         &self,
         digits: &HoistedDigits,
@@ -227,24 +230,49 @@ impl CkksContext {
             digits.len() <= evk.pieces.len(),
             "evk has too few decomposition pieces"
         );
+        // every piece lives on one limb set (the wire decoder enforces
+        // it), so one row position per limb serves every digit
+        let key_limbs = evk.pieces[0].0.limb_indices();
+        assert!(
+            evk.pieces.iter().all(|(kb, ka)| {
+                kb.limb_indices() == key_limbs
+                    && ka.limb_indices() == key_limbs
+                    && kb.representation() == Representation::Evaluation
+                    && ka.representation() == Representation::Evaluation
+            }),
+            "evk pieces must share one evaluation-representation limb set"
+        );
         let level = digits.level;
         let ext = &digits.ext;
-        // one permutation table serves every digit (identity skips the
-        // copy entirely)
+        let basis = self.basis();
+        let n = basis.n();
+        // one permutation table serves every digit
         let perm = (g != GaloisElement::identity()).then(|| self.eval_perm(g));
-        let mut acc_b = RnsPoly::zero_in(arena, self.basis(), ext, Representation::Evaluation);
-        let mut acc_a = RnsPoly::zero_in(arena, self.basis(), ext, Representation::Evaluation);
-        for (digit, (kb, ka)) in digits.digits.iter().zip(&evk.pieces) {
-            let rotated = perm
-                .as_ref()
-                .map(|p| digit.permute_eval_in(arena, p, self.basis()));
-            let operand = rotated.as_ref().unwrap_or(digit);
-            acc_b.mul_add_assign_select(operand, kb, self.basis());
-            acc_a.mul_add_assign_select(operand, ka, self.basis());
-            if let Some(r) = rotated {
-                r.recycle(arena);
-            }
-        }
+        let perm = perm.as_deref().map(Vec::as_slice);
+        let mut acc_b = arena.take(ext.len() * n);
+        let mut acc_a = arena.take(ext.len() * n);
+        basis.pool().for_work(acc_b.len()).par_for_each_row_pair(
+            &mut acc_b,
+            &mut acc_a,
+            n,
+            |pos, row_b, row_a| {
+                let i = ext[pos];
+                let kpos = key_limbs
+                    .iter()
+                    .position(|&k| k == i)
+                    .unwrap_or_else(|| panic!("limb {i} missing from the evaluation key"));
+                rows::dot2_rows(basis.modulus(i), row_b, row_a, digits.len(), perm, |d| {
+                    let (kb, ka) = &evk.pieces[d];
+                    (digits.digits[d].limb(pos), kb.limb(kpos), ka.limb(kpos))
+                });
+            },
+        );
+        let mut into_poly = |data| {
+            let mut limb_idx = arena.take_indices(ext.len());
+            limb_idx.extend_from_slice(ext);
+            RnsPoly::from_parts(n, Representation::Evaluation, limb_idx, data)
+        };
+        let (acc_b, acc_a) = (into_poly(acc_b), into_poly(acc_a));
         let out_b = self.mod_down_with(&acc_b, level, arena);
         let out_a = self.mod_down_with(&acc_a, level, arena);
         acc_b.recycle(arena);
@@ -434,6 +462,89 @@ mod tests {
         let b2 = ctx.hoisted_apply(&ctx.hoisted_decompose(&x, level), g2, &k2);
         assert_eq!(a1, b1);
         assert_eq!(a2, b2);
+    }
+
+    /// The per-digit inner product the fused kernel replaced: a permuted
+    /// copy of each digit (`permute_eval_in`), then one Barrett MAC
+    /// (`mul_add_rows`) per digit and key half, then the ModDowns.
+    fn hoisted_apply_per_digit(
+        ctx: &CkksContext,
+        digits: &HoistedDigits,
+        g: GaloisElement,
+        evk: &EvalKey,
+    ) -> (RnsPoly, RnsPoly) {
+        let basis = ctx.basis();
+        let mut arena = ctx.arena();
+        let perm = (g != GaloisElement::identity()).then(|| ctx.eval_perm(g));
+        let mut acc =
+            [(); 2].map(|_| RnsPoly::zero(basis, &digits.ext, Representation::Evaluation));
+        for (digit, (kb, ka)) in digits.digits.iter().zip(&evk.pieces) {
+            let rotated = perm
+                .as_ref()
+                .map(|p| digit.permute_eval_in(&mut arena, p, basis));
+            let x = rotated.as_ref().unwrap_or(digit);
+            for (acc, key) in acc.iter_mut().zip([kb, ka]) {
+                for (pos, &i) in digits.ext.iter().enumerate() {
+                    let kpos = key.position_of(i).expect("key covers the extension");
+                    rows::mul_add_rows(
+                        basis.modulus(i),
+                        acc.limb_mut(pos),
+                        x.limb(pos),
+                        key.limb(kpos),
+                    );
+                }
+            }
+        }
+        let [b, a] = acc;
+        (
+            ctx.mod_down(&b, digits.level),
+            ctx.mod_down(&a, digits.level),
+        )
+    }
+
+    /// The fused inner product is bit-identical to the per-digit path it
+    /// replaced, for identity, rotation and conjugation Galois elements,
+    /// at full and partial levels, with 50-bit and 61-bit moduli.
+    #[test]
+    fn fused_inner_product_matches_per_digit_path() {
+        let wide = CkksParams {
+            q0_bits: 61,
+            scale_bits: 40,
+            special_bits: 61,
+            ..CkksParams::tiny()
+        };
+        for params in [CkksParams::tiny(), wide] {
+            let ctx = CkksContext::new(params);
+            let top_bits = ctx.basis().modulus(0).bits();
+            assert!(top_bits >= ctx.params().q0_bits);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+            let sk = ctx.gen_secret_key(&mut rng);
+            let other = ctx.gen_secret_key(&mut rng);
+            let evk = ctx.gen_switching_key(&other.s, &sk, &mut rng);
+            let n = ctx.params().n();
+            for level in [ctx.params().max_level, 2] {
+                let chain = ctx.chain_indices(level);
+                let x = RnsPoly::random_uniform(
+                    ctx.basis(),
+                    chain,
+                    Representation::Evaluation,
+                    &mut rng,
+                );
+                let digits = ctx.hoisted_decompose(&x, level);
+                for g in [
+                    GaloisElement::identity(),
+                    GaloisElement::from_rotation(1, n),
+                    GaloisElement::from_rotation(-3, n),
+                    GaloisElement::conjugation(n),
+                ] {
+                    assert_eq!(
+                        ctx.hoisted_apply(&digits, g, &evk),
+                        hoisted_apply_per_digit(&ctx, &digits, g, &evk),
+                        "{top_bits}-bit q0, level {level}, g {g:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

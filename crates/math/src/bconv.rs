@@ -14,10 +14,11 @@
 //! table* `(p̂_j mod q_i)` — 96% of the work, and exactly what the
 //! BConvU's output-stationary MAC systolic array computes (Section V-A).
 //!
-//! The MAC kernel here mirrors that array in software: a stack block of
-//! [`rows::LANES`] 128-bit accumulators sweeps the coefficient axis,
-//! the `j` (source-limb) loop streams contiguous words from the flat
-//! scaled buffer, and reduction is *deferred* — each accumulator is
+//! The MAC kernel here mirrors that array in software: a block of four
+//! 128-bit accumulators, each held as a split `(hi, lo)` pair of `u64`
+//! registers, sweeps the coefficient axis, the `j` (source-limb) loop
+//! streams contiguous words from the flat scaled buffer, and reduction
+//! is *deferred* — each accumulator is
 //! folded at most every [`crate::modulus::Modulus::max_lazy_mac_terms`]
 //! terms instead of per product. For the 40–50-bit primes this library
 //! targets the whole row fits one deferral window, so BConv performs a
@@ -29,9 +30,9 @@
 //! `INTT → BConv → NTT` *BConvRoutine* (Alg. 1) provided here too.
 
 use crate::crt::BigUint;
-use crate::modulus::ShoupPrecomp;
+use crate::modulus::{Modulus, ShoupPrecomp};
 use crate::poly::{Representation, RnsBasis, RnsPoly};
-use crate::rows::{self, LANES};
+use crate::rows;
 use crate::scratch::ScratchArena;
 
 /// Precomputed constants for converting from one limb set to another.
@@ -149,8 +150,8 @@ impl BaseConverter {
 
     /// Step 2 of BConv into a flat `|to| × N` output buffer: the lazy
     /// blocked MAC matrix product. No heap allocation inside — the
-    /// accumulator block lives on the stack, so the kernel is safe to
-    /// run inside parallel closures.
+    /// accumulators live in registers, so the kernel is safe to run
+    /// inside parallel closures.
     fn accumulate_into(&self, scaled: &[u64], basis: &RnsBasis, out: &mut [u64]) {
         let nf = self.from.len();
         let n = scaled.len() / nf;
@@ -167,29 +168,14 @@ impl BaseConverter {
                 // Terms one accumulator absorbs before a fold is forced;
                 // a folded value < q re-enters as (at most) one term.
                 let window = q.max_lazy_mac_terms(self.max_source - 1);
-                let mut k0 = 0usize;
-                while k0 < n {
-                    let kw = LANES.min(n - k0);
-                    let mut acc = [0u128; LANES];
-                    let mut terms = 0usize;
-                    for (j, &b) in brow.iter().enumerate() {
-                        if terms == window {
-                            for a in acc[..kw].iter_mut() {
-                                *a = q.reduce_u128(*a) as u128;
-                            }
-                            terms = 1;
-                        }
-                        let b = b as u128;
-                        let s = &scaled[j * n + k0..j * n + k0 + kw];
-                        for (a, &sv) in acc[..kw].iter_mut().zip(s) {
-                            *a += sv as u128 * b;
-                        }
-                        terms += 1;
-                    }
-                    for (o, &a) in orow[k0..k0 + kw].iter_mut().zip(&acc[..kw]) {
-                        *o = q.reduce_u128(a);
-                    }
-                    k0 += kw;
+                let mut blocks = orow.chunks_exact_mut(MAC_LANES);
+                for (b, block) in (&mut blocks).enumerate() {
+                    mac_block::<MAC_LANES>(q, brow, scaled, n, b * MAC_LANES, window, block);
+                }
+                // degrees below MAC_LANES leave a remainder
+                let k0 = n - n % MAC_LANES;
+                for (k, o) in blocks.into_remainder().iter_mut().enumerate() {
+                    mac_block::<1>(q, brow, scaled, n, k0 + k, window, std::slice::from_mut(o));
                 }
             });
     }
@@ -260,6 +246,52 @@ impl BaseConverter {
     /// the `(ℓ+1)·α·N` MAC count that dominates BConv (96%).
     pub fn mac_count(&self, n: usize) -> usize {
         self.to.len() * self.from.len() * n
+    }
+}
+
+/// Coefficients per BConv MAC block. Four lanes of split `(hi, lo)`
+/// `u64` accumulators fit in eight general-purpose registers, so the
+/// source-limb loop runs without spilling.
+const MAC_LANES: usize = 4;
+
+/// One `W`-coefficient block of BConv step 2: `out[k] = Σ_j
+/// scaled[j·n + k0 + k] · brow[j] mod q`, accumulated as 128-bit
+/// `(hi, lo)` pairs and folded every `window` terms.
+#[inline(always)]
+fn mac_block<const W: usize>(
+    q: &Modulus,
+    brow: &[u64],
+    scaled: &[u64],
+    n: usize,
+    k0: usize,
+    window: usize,
+    out: &mut [u64],
+) {
+    let mut lo = [0u64; W];
+    let mut hi = [0u64; W];
+    let join = |hi: u64, lo: u64| ((hi as u128) << 64) | lo as u128;
+    let mut pending = 0usize;
+    for (j, &b) in brow.iter().enumerate() {
+        if pending == window {
+            for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+                *l = q.reduce_u128(join(*h, *l));
+                *h = 0;
+            }
+            pending = 1;
+        }
+        let s: &[u64; W] = scaled[j * n + k0..j * n + k0 + W]
+            .try_into()
+            .expect("block lies inside the row");
+        for k in 0..W {
+            let p = s[k] as u128 * b as u128;
+            let (l, carry) = lo[k].overflowing_add(p as u64);
+            lo[k] = l;
+            hi[k] += (p >> 64) as u64 + carry as u64;
+        }
+        pending += 1;
+    }
+    for k in 0..W {
+        out[k] = q.reduce_u128(join(hi[k], lo[k]));
     }
 }
 

@@ -319,7 +319,12 @@ impl std::fmt::Display for Modulus {
 }
 
 /// Precomputed Shoup constant for multiplication by a fixed operand.
+///
+/// `repr(C)` pins the layout to `[w, w_shoup]`, so a twiddle table
+/// `&[ShoupPrecomp]` is also a flat `u64` array that the vector NTT
+/// kernel loads and de-interleaves directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct ShoupPrecomp {
     /// The fixed operand `w`, already reduced modulo `q`.
     pub w: u64,

@@ -24,6 +24,20 @@
 //! intermediate fits a `u64`, and because the final canonical residue of
 //! each element is unique, the lazy pipeline is bit-identical to eager
 //! per-butterfly reduction.
+//!
+//! # Kernels
+//!
+//! Each [`NttTable`] picks its butterfly kernel once, at construction
+//! ([`NttTable::kernel`]). Tables with `q <` [`IFMA_MODULUS_LIMIT`]
+//! (`2^50`) and `N >= 16` run the AVX-512 IFMA kernel when the host
+//! reports `avx512f` and `avx512ifma` at run time: eight 52-bit lazy
+//! Harvey butterflies per instruction, after Intel HEXL's IFMA NTT
+//! (Boemer et al., WAHC 2021). It reuses the scalar twiddle tables (the
+//! 52-bit Shoup quotient is `w_shoup >> 12`). Every other table runs the
+//! portable scalar kernel ([`NttTable::forward_scalar`] /
+//! [`NttTable::inverse_scalar`]), which is also the bit-identity
+//! reference: both kernels canonicalize at the end, so they return the
+//! same words for every input.
 
 use crate::modulus::{Modulus, ShoupPrecomp};
 use crate::par::ThreadPool;
@@ -65,6 +79,30 @@ pub fn transform_limbs<'t, F>(
     });
 }
 
+/// Largest modulus (exclusive) the IFMA kernel takes: lazy butterfly
+/// values reach `4q`, which must fit the 52-bit IFMA multiplier lanes.
+pub const IFMA_MODULUS_LIMIT: u64 = 1 << 50;
+
+/// The butterfly kernel an [`NttTable`] runs (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NttKernel {
+    /// Portable scalar Harvey butterflies: every table's fallback and
+    /// the bit-identity reference.
+    Scalar,
+    /// AVX-512 IFMA butterflies in 52-bit lanes, eight at a time.
+    Ifma,
+}
+
+/// The kernel a `(q, n)` table runs on this host.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn select_kernel(q: u64, n: usize) -> NttKernel {
+    #[cfg(target_arch = "x86_64")]
+    if q < IFMA_MODULUS_LIMIT && n >= ifma::MIN_DEGREE && ifma::available() {
+        return NttKernel::Ifma;
+    }
+    NttKernel::Scalar
+}
+
 /// Precomputed twiddle tables for one `(modulus, degree)` pair.
 ///
 /// # Examples
@@ -95,10 +133,22 @@ pub struct NttTable {
     /// The primitive 2N-th root ψ itself (for callers building twisting
     /// factors, e.g. the 4-step NTT).
     psi: u64,
+    /// The butterfly kernel `forward`/`inverse` dispatch to.
+    kernel: NttKernel,
 }
 
 fn bit_reverse(x: usize, bits: u32) -> usize {
     x.reverse_bits() >> (usize::BITS - bits)
+}
+
+/// Debug-build check of the kernels' input contract: every word is a
+/// canonical residue.
+#[inline]
+fn debug_assert_canonical(a: &[u64], q: u64) {
+    debug_assert!(
+        a.iter().all(|&x| x < q),
+        "NTT input must be canonical (every word < q = {q})"
+    );
 }
 
 impl NttTable {
@@ -137,6 +187,7 @@ impl NttTable {
             inv_root_powers,
             n_inv,
             psi,
+            kernel: select_kernel(modulus.value(), n),
         }
     }
 
@@ -155,18 +206,50 @@ impl NttTable {
         self.psi
     }
 
-    /// In-place forward negacyclic NTT (natural → bit-reversed order).
+    /// The butterfly kernel [`Self::forward`] and [`Self::inverse`] run.
+    pub fn kernel(&self) -> NttKernel {
+        self.kernel
+    }
+
+    /// In-place forward negacyclic NTT (natural → bit-reversed order),
+    /// on this table's [`Self::kernel`].
     ///
     /// Runs the Harvey lazy pipeline: butterflies keep values in
     /// `[0, 4q)` and one normalization pass per limb canonicalizes at
     /// the end — `N` reductions instead of `N·log2 N`.
+    ///
+    /// Inputs must be canonical (`< q`). The IFMA kernel reads only the
+    /// low 52 bits of each word, so a larger input would silently lose
+    /// bits; debug builds check the contract on entry to both kernels.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal the degree");
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == NttKernel::Ifma {
+            // SAFETY: `kernel` is `Ifma` only when `ifma::available()`
+            // confirmed avx512f and avx512ifma on this host at table
+            // construction, for q < 2^50 and n >= 16; `a` holds `n`
+            // words (asserted above) and `root_powers` holds `n` entries.
+            unsafe { ifma::forward(a, &self.root_powers, self.modulus.value()) };
+            return;
+        }
+        self.forward_scalar(a);
+    }
+
+    /// [`Self::forward`] on the portable scalar kernel, whatever
+    /// [`Self::kernel`] is: the reference the IFMA kernel is tested
+    /// against bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != self.n()`.
+    pub fn forward_scalar(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal the degree");
         let m = &self.modulus;
+        debug_assert_canonical(a, m.value());
         let two_q = 2 * m.value();
         let mut t = self.n;
         let mut groups = 1usize;
@@ -176,8 +259,10 @@ impl NttTable {
                 let w = &self.root_powers[groups + i];
                 let base = 2 * i * t;
                 // Split the group into its low/high halves so the inner
-                // loop indexes two disjoint slices — the shape LLVM
-                // vectorizes without bounds checks.
+                // loop indexes two disjoint slices without bounds checks.
+                // The loop stays scalar: x86-64 has no 64×64→128-bit
+                // vector multiply, so the `u128` Shoup product compiles
+                // to scalar `mul` (the IFMA kernel is the vector path).
                 let (lo, hi) = a[base..base + 2 * t].split_at_mut(t);
                 for j in 0..t {
                     // lo[j] < 4q → bring into [0, 2q) branch-free.
@@ -196,17 +281,40 @@ impl NttTable {
         }
     }
 
-    /// In-place inverse negacyclic NTT (bit-reversed → natural order).
+    /// In-place inverse negacyclic NTT (bit-reversed → natural order),
+    /// on this table's [`Self::kernel`].
     ///
     /// Lazy Gentleman–Sande: values stay in `[0, 2q)` across stages and
     /// the final `n^{-1}` scaling pass canonicalizes.
+    ///
+    /// Inputs must be canonical (`< q`), as for [`Self::forward`].
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != self.n()`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "input length must equal the degree");
+        #[cfg(target_arch = "x86_64")]
+        if self.kernel == NttKernel::Ifma {
+            // SAFETY: as in `forward` — `Ifma` implies the host features
+            // were detected for this q < 2^50, n >= 16 table; `a` and
+            // `inv_root_powers` both hold `n` words.
+            unsafe { ifma::inverse(a, &self.inv_root_powers, &self.n_inv, self.modulus.value()) };
+            return;
+        }
+        self.inverse_scalar(a);
+    }
+
+    /// [`Self::inverse`] on the portable scalar kernel (the bit-identity
+    /// reference, as for [`Self::forward_scalar`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != self.n()`.
+    pub fn inverse_scalar(&self, a: &mut [u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal the degree");
         let m = &self.modulus;
+        debug_assert_canonical(a, m.value());
         let two_q = 2 * m.value();
         let mut t = 1usize;
         let mut groups = self.n >> 1;
@@ -255,6 +363,287 @@ impl NttTable {
     /// figure the paper uses to size NTT units.
     pub fn butterfly_count(&self) -> usize {
         (self.n / 2) * self.log_n as usize
+    }
+}
+
+/// The AVX-512 IFMA butterfly kernel.
+///
+/// Each 64-bit lane holds one residue. `vpmadd52luq`/`vpmadd52huq`
+/// multiply the low 52 bits of two lanes and add the low/high 52 bits
+/// of the 104-bit product to a third lane. With `q < 2^50` every lazy
+/// value (`< 4q`) fits 52 bits, and Shoup's product with the 52-bit
+/// quotient `w' = ⌊w·2^52/q⌋ = w_shoup >> 12` gives
+/// `w·y − ⌊y·w'/2^52⌋·q ∈ [0, 2q)`, exact modulo `2^52`. The butterflies
+/// and range invariants are those of the scalar kernel. Stages of
+/// half-width `t >= 8` broadcast one twiddle per group across a vector;
+/// the `t = 4, 2, 1` stages split each 16-word chunk into its butterfly
+/// halves (and de-interleave the `[w, w_shoup]` twiddle words) with
+/// in-register permutes.
+#[cfg(target_arch = "x86_64")]
+mod ifma {
+    use crate::modulus::ShoupPrecomp;
+    use std::arch::x86_64::*;
+
+    /// Smallest degree the kernel takes: the `t = 4` stage works on
+    /// 16-word chunks.
+    pub(super) const MIN_DEGREE: usize = 16;
+
+    // `as_words` reinterprets twiddle tables as flat `[w, w_shoup]` words.
+    const _: () = assert!(std::mem::size_of::<ShoupPrecomp>() == 16);
+
+    /// Whether this host runs the kernel.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+    }
+
+    /// Broadcast per-modulus constants.
+    struct Consts {
+        q: __m512i,
+        two_q: __m512i,
+        /// `2^64 − q`: its low 52 bits are `−q mod 2^52`.
+        neg_q: __m512i,
+        mask52: __m512i,
+    }
+
+    impl Consts {
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn new(q: u64) -> Self {
+            Self {
+                q: _mm512_set1_epi64(q as i64),
+                two_q: _mm512_set1_epi64((2 * q) as i64),
+                neg_q: _mm512_set1_epi64(q.wrapping_neg() as i64),
+                mask52: _mm512_set1_epi64((1i64 << 52) - 1),
+            }
+        }
+    }
+
+    /// A twiddle table as its flat `[w, w_shoup]` words.
+    fn as_words(tw: &[ShoupPrecomp]) -> &[u64] {
+        // SAFETY: `ShoupPrecomp` is `repr(C)` with two `u64` fields, so
+        // it has size 16 (asserted above), alignment 8 and no padding:
+        // `tw.len()` entries are `2 * tw.len()` initialized `u64`s,
+        // borrowed for the lifetime of `tw`.
+        unsafe { std::slice::from_raw_parts(tw.as_ptr().cast::<u64>(), 2 * tw.len()) }
+    }
+
+    /// Loads the first 8 words of `s`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load(s: &[u64]) -> __m512i {
+        let s = &s[..8];
+        // SAFETY: the bounds-checked slice above holds 8 initialized
+        // words, and `loadu` has no alignment requirement.
+        unsafe { _mm512_loadu_epi64(s.as_ptr().cast::<i64>()) }
+    }
+
+    /// Loads the first `min(8, s.len())` words of `s`, zeroing the rest.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_partial(s: &[u64]) -> __m512i {
+        let k = s.len().min(8);
+        let mask = ((1u16 << k) - 1) as __mmask8;
+        // SAFETY: the mask enables exactly the first `k <= s.len()`
+        // lanes, all inside `s`; masked-off lanes are not accessed, and
+        // `loadu` has no alignment requirement.
+        unsafe { _mm512_maskz_loadu_epi64(mask, s.as_ptr().cast::<i64>()) }
+    }
+
+    /// Stores `v` to the first 8 words of `s`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn store(s: &mut [u64], v: __m512i) {
+        let s = &mut s[..8];
+        // SAFETY: the bounds-checked slice above holds 8 writable words,
+        // and `storeu` has no alignment requirement.
+        unsafe { _mm512_storeu_epi64(s.as_mut_ptr().cast::<i64>(), v) }
+    }
+
+    /// `x mod m` for `x < 2m`: `x − m` wraps above `x` exactly when
+    /// `x < m`, so the unsigned minimum picks the reduced value.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn csub(x: __m512i, m: __m512i) -> __m512i {
+        _mm512_min_epu64(x, _mm512_sub_epi64(x, m))
+    }
+
+    /// Lazy Shoup product `w·y mod q` in `[0, 2q)` for `y < 2^52`, with
+    /// `w52 = ⌊w·2^52/q⌋`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_shoup52(y: __m512i, w: __m512i, w52: __m512i, c: &Consts) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let quot = _mm512_madd52hi_epu64(zero, y, w52);
+        let wy = _mm512_madd52lo_epu64(zero, y, w);
+        // (w·y − quot·q) mod 2^52, which is exact: the true value is in
+        // [0, 2q) and 2q < 2^52
+        _mm512_and_si512(_mm512_madd52lo_epu64(wy, quot, c.neg_q), c.mask52)
+    }
+
+    /// One butterfly: Cooley–Tukey (`FWD`, inputs `< 4q`, outputs `< 4q`)
+    /// or Gentleman–Sande (inputs `< 2q`, outputs `< 2q`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn butterfly<const FWD: bool>(
+        x: __m512i,
+        y: __m512i,
+        w: __m512i,
+        w52: __m512i,
+        c: &Consts,
+    ) -> (__m512i, __m512i) {
+        if FWD {
+            let x = csub(x, c.two_q);
+            let v = mul_shoup52(y, w, w52, c);
+            let lo = _mm512_add_epi64(x, v);
+            let hi = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), v);
+            (lo, hi)
+        } else {
+            let lo = csub(_mm512_add_epi64(x, y), c.two_q);
+            let d = _mm512_sub_epi64(_mm512_add_epi64(x, c.two_q), y);
+            (lo, mul_shoup52(d, w, w52, c))
+        }
+    }
+
+    /// Lane permutes of a stage with half-width `t < 8`, over a 16-word
+    /// chunk `v0 ‖ v1` (indices 8..16 select from the second operand).
+    struct Shape {
+        /// Twiddles per chunk: `8 / t`.
+        groups: usize,
+        /// `x` (low halves) and `y` (high halves) of every butterfly.
+        split_x: [i64; 8],
+        split_y: [i64; 8],
+        /// Back from `x ‖ y` to chunk order.
+        merge_lo: [i64; 8],
+        merge_hi: [i64; 8],
+        /// `w` and `w_shoup` of each lane's group from the chunk's
+        /// flat twiddle words.
+        tw_w: [i64; 8],
+        tw_shoup: [i64; 8],
+    }
+
+    const T4: Shape = Shape {
+        groups: 2,
+        split_x: [0, 1, 2, 3, 8, 9, 10, 11],
+        split_y: [4, 5, 6, 7, 12, 13, 14, 15],
+        merge_lo: [0, 1, 2, 3, 8, 9, 10, 11],
+        merge_hi: [4, 5, 6, 7, 12, 13, 14, 15],
+        tw_w: [0, 0, 0, 0, 2, 2, 2, 2],
+        tw_shoup: [1, 1, 1, 1, 3, 3, 3, 3],
+    };
+    const T2: Shape = Shape {
+        groups: 4,
+        split_x: [0, 1, 4, 5, 8, 9, 12, 13],
+        split_y: [2, 3, 6, 7, 10, 11, 14, 15],
+        merge_lo: [0, 1, 8, 9, 2, 3, 10, 11],
+        merge_hi: [4, 5, 12, 13, 6, 7, 14, 15],
+        tw_w: [0, 0, 2, 2, 4, 4, 6, 6],
+        tw_shoup: [1, 1, 3, 3, 5, 5, 7, 7],
+    };
+    const T1: Shape = Shape {
+        groups: 8,
+        split_x: [0, 2, 4, 6, 8, 10, 12, 14],
+        split_y: [1, 3, 5, 7, 9, 11, 13, 15],
+        merge_lo: [0, 8, 1, 9, 2, 10, 3, 11],
+        merge_hi: [4, 12, 5, 13, 6, 14, 7, 15],
+        tw_w: [0, 2, 4, 6, 8, 10, 12, 14],
+        tw_shoup: [1, 3, 5, 7, 9, 11, 13, 15],
+    };
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn index(lanes: &[i64; 8]) -> __m512i {
+        let [e0, e1, e2, e3, e4, e5, e6, e7] = *lanes;
+        _mm512_setr_epi64(e0, e1, e2, e3, e4, e5, e6, e7)
+    }
+
+    /// One stage of half-width `t`; `tw[i]` is the twiddle of group `i`
+    /// (the words `a[2ti..2t(i+1)]`).
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn stage<const FWD: bool>(a: &mut [u64], t: usize, tw: &[ShoupPrecomp], c: &Consts) {
+        let shape = match t {
+            1 => &T1,
+            2 => &T2,
+            4 => &T4,
+            _ => {
+                for (block, w) in a.chunks_exact_mut(2 * t).zip(tw) {
+                    let wv = _mm512_set1_epi64(w.w as i64);
+                    let w52 = _mm512_set1_epi64((w.w_shoup >> 12) as i64);
+                    let (lo, hi) = block.split_at_mut(t);
+                    for (l, h) in lo.chunks_exact_mut(8).zip(hi.chunks_exact_mut(8)) {
+                        let (x, y) = butterfly::<FWD>(load(l), load(h), wv, w52, c);
+                        store(l, x);
+                        store(h, y);
+                    }
+                }
+                return;
+            }
+        };
+        let (split_x, split_y) = (index(&shape.split_x), index(&shape.split_y));
+        let (merge_lo, merge_hi) = (index(&shape.merge_lo), index(&shape.merge_hi));
+        let (tw_w, tw_shoup) = (index(&shape.tw_w), index(&shape.tw_shoup));
+        for (chunk, tws) in a.chunks_exact_mut(16).zip(tw.chunks_exact(shape.groups)) {
+            let words = as_words(tws);
+            let t0 = load_partial(words);
+            let t1 = load_partial(&words[words.len().min(8)..]);
+            let w = _mm512_permutex2var_epi64(t0, tw_w, t1);
+            let w52 = _mm512_srli_epi64::<12>(_mm512_permutex2var_epi64(t0, tw_shoup, t1));
+            let (lo, hi) = chunk.split_at_mut(8);
+            let (v0, v1) = (load(lo), load(hi));
+            let x = _mm512_permutex2var_epi64(v0, split_x, v1);
+            let y = _mm512_permutex2var_epi64(v0, split_y, v1);
+            let (x, y) = butterfly::<FWD>(x, y, w, w52, c);
+            store(lo, _mm512_permutex2var_epi64(x, merge_lo, y));
+            store(hi, _mm512_permutex2var_epi64(x, merge_hi, y));
+        }
+    }
+
+    /// Forward negacyclic NTT of `a` (canonical, power-of-two length
+    /// `>= MIN_DEGREE`) with the bit-reversed twiddles `roots`
+    /// (`roots.len() == a.len()`) under `q < 2^50`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn forward(a: &mut [u64], roots: &[ShoupPrecomp], q: u64) {
+        let n = a.len();
+        debug_assert!(n >= MIN_DEGREE && n.is_power_of_two() && roots.len() == n);
+        debug_assert!(q < super::IFMA_MODULUS_LIMIT);
+        super::debug_assert_canonical(a, q);
+        let c = Consts::new(q);
+        let mut t = n;
+        let mut groups = 1usize;
+        while groups < n {
+            t >>= 1;
+            stage::<true>(a, t, &roots[groups..2 * groups], &c);
+            groups <<= 1;
+        }
+        for x in a.chunks_exact_mut(8) {
+            let v = csub(csub(load(x), c.two_q), c.q);
+            store(x, v);
+        }
+    }
+
+    /// Inverse negacyclic NTT of `a` with the bit-reversed inverse
+    /// twiddles `inv_roots` and the scaling `n_inv`; requirements as
+    /// for [`forward`].
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) fn inverse(a: &mut [u64], inv_roots: &[ShoupPrecomp], n_inv: &ShoupPrecomp, q: u64) {
+        let n = a.len();
+        debug_assert!(n >= MIN_DEGREE && n.is_power_of_two() && inv_roots.len() == n);
+        debug_assert!(q < super::IFMA_MODULUS_LIMIT);
+        super::debug_assert_canonical(a, q);
+        let c = Consts::new(q);
+        let mut t = 1usize;
+        let mut groups = n >> 1;
+        while groups >= 1 {
+            stage::<false>(a, t, &inv_roots[groups..2 * groups], &c);
+            t <<= 1;
+            groups >>= 1;
+        }
+        // values < 2q < 2^52 are valid lazy Shoup operands
+        let w = _mm512_set1_epi64(n_inv.w as i64);
+        let w52 = _mm512_set1_epi64((n_inv.w_shoup >> 12) as i64);
+        for x in a.chunks_exact_mut(8) {
+            let v = csub(mul_shoup52(load(x), w, w52, &c), c.q);
+            store(x, v);
+        }
     }
 }
 

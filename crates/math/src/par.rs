@@ -349,6 +349,48 @@ impl ThreadPool {
         self.run_batch(tasks);
     }
 
+    /// Splits `a` and `b` into aligned rows of `row_len` elements and
+    /// applies `f(row_index, a_row, b_row)` to each pair of *mutable*
+    /// rows in parallel — for kernels that write two outputs per limb,
+    /// like the key-switch inner product's `kb`/`ka` halves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_len` is zero or the buffers disagree in length.
+    pub fn par_for_each_row_pair<T, F>(&self, a: &mut [T], b: &mut [T], row_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T], &mut [T]) + Sync,
+    {
+        assert!(row_len > 0, "row length must be positive");
+        assert_eq!(a.len(), b.len(), "paired buffers must match");
+        let rows = a.len().div_ceil(row_len);
+        let t = self.threads.min(rows);
+        if t <= 1 || self.workers.is_none() {
+            for (i, (ra, rb)) in a.chunks_mut(row_len).zip(b.chunks_mut(row_len)).enumerate() {
+                f(i, ra, rb);
+            }
+            return;
+        }
+        let span = rows.div_ceil(t) * row_len;
+        let f = &f;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = a
+            .chunks_mut(span)
+            .zip(b.chunks_mut(span))
+            .enumerate()
+            .map(|(ci, (sa, sb))| {
+                let base = ci * (span / row_len);
+                Box::new(move || {
+                    let pairs = sa.chunks_mut(row_len).zip(sb.chunks_mut(row_len));
+                    for (k, (ra, rb)) in pairs.enumerate() {
+                        f(base + k, ra, rb);
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        self.run_batch(tasks);
+    }
+
     /// Splits `dst` and `src` into aligned rows of `row_len` elements and
     /// applies `f(row_index, dst_row, src_row)` to each pair in parallel —
     /// the primitive behind in-place binary limb ops on the flat
@@ -575,6 +617,26 @@ mod tests {
         let mut b: Vec<u64> = (0..96).collect();
         par.par_zip_rows(&mut b, &src, 8, f);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn row_pairs_match_serial_with_uneven_tasks() {
+        // 13 rows over 4 threads: the last task gets a short span
+        let run = |pool: &ThreadPool| {
+            let mut a: Vec<u64> = (0..104).collect();
+            let mut b = vec![0u64; 104];
+            pool.par_for_each_row_pair(&mut a, &mut b, 8, |r, ra, rb| {
+                for (x, y) in ra.iter_mut().zip(rb.iter_mut()) {
+                    *y = *x * 2 + r as u64;
+                    *x += 1;
+                }
+            });
+            (a, b)
+        };
+        let (a, b) = run(&ThreadPool::serial());
+        assert_eq!(a, (1..105).collect::<Vec<u64>>());
+        assert_eq!(b[8 * 12 + 3], (8 * 12 + 3) * 2 + 12);
+        assert_eq!(run(&ThreadPool::new(4).with_min_dispatch_words(0)), (a, b));
     }
 
     #[test]

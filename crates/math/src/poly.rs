@@ -569,38 +569,6 @@ impl RnsPoly {
         );
     }
 
-    /// Fused `self += a * b` where `b` may carry a *superset* of the
-    /// accumulator's limbs (matched by basis index). This is the
-    /// key-switch inner-product shape: evaluation-key pieces live on
-    /// the full extended basis while the accumulator lives on the
-    /// current level's extension, and selecting rows by index here
-    /// avoids materializing `b.subset(...)` per digit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is incompatible, or `b` misses a limb or is not in
-    /// evaluation representation.
-    pub fn mul_add_assign_select(&mut self, a: &Self, b: &Self, basis: &RnsBasis) {
-        assert_eq!(self.rep, Representation::Evaluation);
-        self.assert_compatible(a);
-        assert_eq!(self.n, b.n, "degree mismatch");
-        assert_eq!(b.rep, Representation::Evaluation, "rep mismatch");
-        let n = self.n;
-        let idx = &self.limb_idx;
-        basis.pool().for_work(self.data.len()).par_zip_rows(
-            &mut self.data,
-            &a.data,
-            n,
-            |pos, acc, arow| {
-                let i = idx[pos];
-                let bpos = b
-                    .position_of(i)
-                    .unwrap_or_else(|| panic!("limb {i} missing from operand"));
-                rows::mul_add_rows(basis.modulus(i), acc, arow, b.limb(bpos));
-            },
-        );
-    }
-
     /// Multiplies every coefficient of limb `q_i` by `scalars[pos]`.
     pub fn mul_scalar_per_limb(&mut self, scalars: &[u64], basis: &RnsBasis) {
         assert_eq!(scalars.len(), self.limb_idx.len());
@@ -708,10 +676,11 @@ impl RnsPoly {
 
     /// Applies a precomputed evaluation-representation automorphism
     /// permutation (from [`automorphism::eval_permutation`]) to every
-    /// limb. The hoisted key-switching hot path applies one Galois map
-    /// to *every* raised digit, so the caller computes the table once
-    /// and reuses it here instead of paying [`Self::automorphism`]'s
-    /// per-call table build per digit.
+    /// limb, reusing one table across calls instead of paying
+    /// [`Self::automorphism`]'s per-call table build. The hoisted
+    /// key-switch no longer copies digits through it (its fused inner
+    /// product permutes on read); this is the reference that kernel is
+    /// tested against.
     ///
     /// # Panics
     ///
@@ -748,8 +717,7 @@ impl RnsPoly {
     }
 
     /// Applies a precomputed evaluation permutation, writing into an
-    /// existing buffer (no allocation) — the innermost hoisted-rotation
-    /// kernel.
+    /// existing buffer (no allocation).
     ///
     /// # Panics
     ///
@@ -1032,21 +1000,6 @@ mod tests {
         prod.mul_assign(&y, &b);
         expect.add_assign(&prod, &b);
         acc.mul_add_assign(&x, &y, &b);
-        assert_eq!(acc, expect);
-    }
-
-    #[test]
-    fn mul_add_select_matches_subset_then_mul_add() {
-        let b = basis(16, 4);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-        let small = [0usize, 2];
-        let full = [0usize, 1, 2, 3];
-        let mut acc = RnsPoly::random_uniform(&b, &small, Representation::Evaluation, &mut rng);
-        let a = RnsPoly::random_uniform(&b, &small, Representation::Evaluation, &mut rng);
-        let wide = RnsPoly::random_uniform(&b, &full, Representation::Evaluation, &mut rng);
-        let mut expect = acc.clone();
-        expect.mul_add_assign(&a, &wide.subset(&small), &b);
-        acc.mul_add_assign_select(&a, &wide, &b);
         assert_eq!(acc, expect);
     }
 

@@ -3,7 +3,10 @@
 //! These are the element-wise inner loops of every RNS op, restructured
 //! for the flat limb-major layout: each kernel walks aligned slices in
 //! fixed-width chunks ([`LANES`] elements) with branch-free conditional
-//! subtraction, the shape LLVM autovectorizes. The arithmetic is
+//! subtraction, so the loops carry no bounds checks or branches. Only
+//! the add/sub/neg kernels vectorize: x86-64 has no 64×64→128-bit
+//! vector multiply, so every kernel with a `u128` product (Barrett,
+//! Shoup, the MACs) compiles to scalar `mul`/`imul`. The arithmetic is
 //! identical to the scalar [`Modulus`] ops — the same canonical residue
 //! comes out of every element — only the control flow changed.
 
@@ -91,6 +94,97 @@ pub fn mul_add_rows(q: &Modulus, dst: &mut [u64], a: &[u64], b: &[u64]) {
     }
 }
 
+/// Coefficients per block of [`dot2_rows`]: its two `u128` accumulator
+/// blocks (1 KiB) stay in L1 while every digit's rows stream past.
+const DOT_BLOCK: usize = 32;
+
+/// The key-switch inner product over one limb, fused across digits
+/// and both key halves, with one reduction per output:
+///
+/// ```text
+/// out_b[k] = Σ_d x_d[π(k)] · b_d[k]  mod q
+/// out_a[k] = Σ_d x_d[π(k)] · a_d[k]  mod q      (d < terms)
+/// ```
+///
+/// where `term(d) = (x_d, b_d, a_d)` and `π` is `perm` (the identity if
+/// `None`): the Galois permutation of a hoisted rotation, applied as
+/// the digit is read instead of by a permuted copy. Operands must be
+/// canonical and every row `out_b.len()` long. Products accumulate in
+/// `u128` and fold (one Barrett reduction) only every
+/// [`Modulus::max_lazy_mac_terms`] terms — at least 16 for any
+/// supported (≤ 62-bit) prime and 64 for 61-bit ones, so real `dnum`
+/// does not fold and each output is reduced once, where a per-digit MAC
+/// reduces `dnum` times.
+///
+/// # Panics
+///
+/// Panics if `out_a` or `perm` differ in length from `out_b`, or a
+/// row is shorter.
+pub fn dot2_rows<'a, F>(
+    q: &Modulus,
+    out_b: &mut [u64],
+    out_a: &mut [u64],
+    terms: usize,
+    perm: Option<&[usize]>,
+    term: F,
+) where
+    F: Fn(usize) -> (&'a [u64], &'a [u64], &'a [u64]),
+{
+    let n = out_b.len();
+    assert_eq!(out_a.len(), n, "output rows must match");
+    if let Some(p) = perm {
+        assert_eq!(p.len(), n, "permutation/degree mismatch");
+    }
+    let window = q.max_lazy_mac_terms(q.value() - 1);
+    let mut k0 = 0;
+    while k0 < n {
+        let bw = DOT_BLOCK.min(n - k0);
+        let mut acc_b = [0u128; DOT_BLOCK];
+        let mut acc_a = [0u128; DOT_BLOCK];
+        let (acc_b, acc_a) = (&mut acc_b[..bw], &mut acc_a[..bw]);
+        // terms since the last fold; a folded value < q re-enters as
+        // (at most) one term
+        let mut pending = 0;
+        for d in 0..terms {
+            if pending == window {
+                for acc in acc_b.iter_mut().chain(acc_a.iter_mut()) {
+                    *acc = q.reduce_u128(*acc) as u128;
+                }
+                pending = 1;
+            }
+            let (x, b, a) = term(d);
+            let macs = acc_b
+                .iter_mut()
+                .zip(acc_a.iter_mut())
+                .zip(&b[k0..k0 + bw])
+                .zip(&a[k0..k0 + bw]);
+            match perm {
+                Some(p) => {
+                    for ((((sb, sa), &bv), &av), &src) in macs.zip(&p[k0..k0 + bw]) {
+                        let xv = x[src] as u128;
+                        *sb += xv * bv as u128;
+                        *sa += xv * av as u128;
+                    }
+                }
+                None => {
+                    for ((((sb, sa), &bv), &av), &xv) in macs.zip(&x[k0..k0 + bw]) {
+                        *sb += xv as u128 * bv as u128;
+                        *sa += xv as u128 * av as u128;
+                    }
+                }
+            }
+            pending += 1;
+        }
+        for (o, &acc) in out_b[k0..k0 + bw].iter_mut().zip(acc_b.iter()) {
+            *o = q.reduce_u128(acc);
+        }
+        for (o, &acc) in out_a[k0..k0 + bw].iter_mut().zip(acc_a.iter()) {
+            *o = q.reduce_u128(acc);
+        }
+        k0 += bw;
+    }
+}
+
 /// `dst[i] = dst[i] * pre.w mod q` (Shoup, branch-free final reduce).
 pub fn mul_shoup_rows(q: &Modulus, dst: &mut [u64], pre: &ShoupPrecomp) {
     let qv = q.value();
@@ -174,6 +268,54 @@ mod tests {
             scale_shoup_rows(&q, &mut d, &a, &pre);
             for i in 0..len {
                 assert_eq!(d[i], q.mul(a[i], w));
+            }
+        }
+    }
+
+    /// The fused inner product equals the per-digit path it replaced
+    /// (permuted copy, then one `mul_add_rows` per digit and key half):
+    /// under 61-bit moduli, identity and Galois permutations, with
+    /// worst-case `q − 1` operands, and digit counts on both sides of
+    /// the lazy fold window.
+    #[test]
+    fn dot2_matches_per_digit_mac_across_the_fold_window() {
+        use crate::automorphism::{apply_eval_into, eval_permutation, GaloisElement};
+        let q = q61();
+        let window = q.max_lazy_mac_terms(q.value() - 1);
+        assert!(window >= 64);
+        // 40 is not a multiple of the block width, so a short block runs
+        for (n, g) in [(64usize, 1i64), (64, 5), (40, 0)] {
+            let perm = (g != 0).then(|| eval_permutation(n, GaloisElement::from_rotation(g, n)));
+            for terms in [1, 3, window - 1, window, window + 1, 2 * window + 1] {
+                for worst in [false, true] {
+                    let rows: Vec<[Vec<u64>; 3]> = (0..terms)
+                        .map(|d| {
+                            let seed = 7000 + 10 * d as u64;
+                            if worst {
+                                [(); 3].map(|_| vec![q.value() - 1; n])
+                            } else {
+                                [0, 1, 2].map(|k| rand_row(&q, n, seed + k))
+                            }
+                        })
+                        .collect();
+                    let (mut out_b, mut out_a) = (vec![0; n], vec![0; n]);
+                    dot2_rows(&q, &mut out_b, &mut out_a, terms, perm.as_deref(), |d| {
+                        let [x, b, a] = &rows[d];
+                        (x, b, a)
+                    });
+                    let (mut ref_b, mut ref_a) = (vec![0; n], vec![0; n]);
+                    for [x, b, a] in &rows {
+                        let mut xp = x.clone();
+                        if let Some(p) = &perm {
+                            apply_eval_into(x, p, &mut xp);
+                        }
+                        mul_add_rows(&q, &mut ref_b, &xp, b);
+                        mul_add_rows(&q, &mut ref_a, &xp, a);
+                    }
+                    let case = format!("n={n} g={g} terms={terms} worst={worst}");
+                    assert_eq!(out_b, ref_b, "{case}");
+                    assert_eq!(out_a, ref_a, "{case}");
+                }
             }
         }
     }

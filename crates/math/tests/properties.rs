@@ -6,11 +6,11 @@ use ark_math::automorphism::{apply_coeff, eval_permutation, GaloisElement};
 use ark_math::bconv::BaseConverter;
 use ark_math::crt::{BigUint, CrtContext};
 use ark_math::modulus::Modulus;
-use ark_math::ntt::{negacyclic_mul_naive, NttTable};
+use ark_math::ntt::{negacyclic_mul_naive, NttKernel, NttTable, IFMA_MODULUS_LIMIT};
 use ark_math::ntt4step::FourStepNtt;
 use ark_math::par::ThreadPool;
 use ark_math::poly::{Representation, RnsBasis, RnsPoly};
-use ark_math::primes::generate_ntt_primes;
+use ark_math::primes::{generate_ntt_primes, is_prime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -148,6 +148,106 @@ proptest! {
         let bwd = eval_permutation(64, GaloisElement::from_rotation(-r, 64));
         for s in 0..64 {
             prop_assert_eq!(bwd[fwd[s]], s);
+        }
+    }
+}
+
+/// Whether this host runs the IFMA NTT kernel. Without it the kernel
+/// comparisons below only exercise the scalar path, so the first call
+/// says so on stderr (written directly, so the test harness does not
+/// capture it).
+fn host_has_ifma() -> bool {
+    static HAS: OnceLock<bool> = OnceLock::new();
+    *HAS.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        let has =
+            std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has = false;
+        if !has {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr().lock(),
+                "note: this host lacks AVX-512 IFMA; the IFMA-vs-scalar NTT \
+                 checks compare the scalar kernel with itself"
+            );
+        }
+        has
+    })
+}
+
+/// For every degree `2^1..=2^16`: tables for the largest NTT prime
+/// below `2^50` (the top of the IFMA kernel's range, where lazy values
+/// come closest to its 52-bit lanes) and the smallest one above it.
+fn ifma_edge_tables() -> &'static [(NttTable, NttTable)] {
+    static T: OnceLock<Vec<(NttTable, NttTable)>> = OnceLock::new();
+    T.get_or_init(|| {
+        (1..=16)
+            .map(|log_n| {
+                let n = 1usize << log_n;
+                let step = 2 * n as u64; // 2^50 ≡ 0 (mod 2n)
+                let below = (1..)
+                    .map(|k| IFMA_MODULUS_LIMIT - k * step + 1)
+                    .find(|&q| is_prime(q))
+                    .unwrap();
+                let above = (0..)
+                    .map(|k| IFMA_MODULUS_LIMIT + k * step + 1)
+                    .find(|&q| is_prime(q))
+                    .unwrap();
+                let table = |q| NttTable::new(Modulus::new(q).unwrap(), n);
+                (table(below), table(above))
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    // The dispatched kernel (IFMA where eligible) returns the scalar
+    // kernel's exact words, forward and inverse, and round-trips — for
+    // every degree 2^1..=2^16, on both sides of the 2^50 eligibility
+    // edge, with inputs drawn uniformly or pinned to the extremes 0/q−1.
+    #[test]
+    fn ntt_kernels_bit_identical_at_the_ifma_edge(seed in any::<u64>(), extremes in any::<bool>()) {
+        for (below, above) in ifma_edge_tables() {
+            let n = below.n();
+            let ifma = host_has_ifma() && n >= 16;
+            prop_assert_eq!(below.kernel() == NttKernel::Ifma, ifma);
+            prop_assert!(below.modulus().value() < IFMA_MODULUS_LIMIT);
+            prop_assert_eq!(above.kernel(), NttKernel::Scalar);
+            prop_assert!(above.modulus().value() >= IFMA_MODULUS_LIMIT);
+            for t in [below, above] {
+                let q = t.modulus().value();
+                let mut state = seed;
+                let input: Vec<u64> = (0..n)
+                    .map(|_| {
+                        // SplitMix64 stream
+                        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                        let mut z = state;
+                        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                        z ^= z >> 31;
+                        if extremes { [0, q - 1][(z & 1) as usize] } else { z % q }
+                    })
+                    .collect();
+                let mut fast = input.clone();
+                let mut reference = input.clone();
+                t.forward(&mut fast);
+                t.forward_scalar(&mut reference);
+                prop_assert_eq!(&fast, &reference, "forward, q = {}, n = {}", q, n);
+                t.inverse(&mut fast);
+                t.inverse_scalar(&mut reference);
+                prop_assert_eq!(&fast, &reference, "inverse, q = {}, n = {}", q, n);
+                prop_assert_eq!(&fast, &input, "round trip, q = {}, n = {}", q, n);
+                // the inverse kernels also agree on inputs that no
+                // forward transform produced
+                let mut fast = input.clone();
+                let mut reference = input;
+                t.inverse(&mut fast);
+                t.inverse_scalar(&mut reference);
+                prop_assert_eq!(&fast, &reference, "inverse only, q = {}, n = {}", q, n);
+            }
         }
     }
 }
